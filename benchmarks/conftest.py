@@ -10,11 +10,17 @@ Every file under ``benchmarks/`` regenerates one table or figure of the paper
 
 The scale preset defaults to ``tiny`` and can be overridden with the
 ``REPRO_BENCH_SCALE`` environment variable (``tiny`` / ``small`` / ``full``).
+
+The throughput benchmarks also keep a ``BENCH_*.json`` record at the
+repository root.  They rewrite it only when ``REPRO_BENCH_RECORD=1``, so a
+plain test run leaves the committed records alone.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +35,26 @@ def bench_scale():
 @pytest.fixture(scope="session")
 def scale():
     return bench_scale()
+
+
+def save_bench_record(path: Path, update: dict, merge: bool = True) -> dict:
+    """Return the record at ``path`` with ``update`` applied, and write it
+    back when ``REPRO_BENCH_RECORD=1``.
+
+    ``merge`` keeps the record's other top-level keys, so benchmarks that
+    share one file each own their keys whichever order they run in;
+    ``merge=False`` replaces the whole record.
+    """
+    record = {}
+    if merge and path.exists():
+        try:
+            record = json.loads(path.read_text())
+        except ValueError:
+            record = {}
+    record.update(update)
+    if os.environ.get("REPRO_BENCH_RECORD") == "1":
+        path.write_text(json.dumps(record, indent=2) + "\n")
+    return record
 
 
 def run_experiment(benchmark, runner, **kwargs):

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from conftest import run_experiment, stream_prepared
+from conftest import run_experiment, save_bench_record, stream_prepared
 
 from repro.experiments import ablations
 
@@ -41,9 +41,9 @@ def test_ablation_memoization(benchmark):
 def test_ablation_memoization_measured_host():
     """Measured temporal memoization next to the modeled MCU cycles."""
     from test_stream_throughput import (
+        BENCH_PATH,
         IMAGE_SIZE,
         _measure,
-        _merge_bench_record,
         _temporal_frames,
     )
     from repro.core import compile_stream_plan
@@ -74,7 +74,7 @@ def test_ablation_memoization_measured_host():
             threshold=0.0,
         ),
     }
-    merged = _merge_bench_record({"ablation_memoization": record})
+    merged = save_bench_record(BENCH_PATH, {"ablation_memoization": record})
     print()
     print(json.dumps(merged["ablation_memoization"], indent=2))
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale  # noqa: F401  (scale fixture)
+from conftest import bench_scale, save_bench_record  # noqa: F401  (scale fixture)
 
 from repro.core import EngineConfig
 from repro.experiments.common import (
@@ -74,20 +74,6 @@ def _prepared(scale):
         samples = np.stack(samples[:limit])
         _PREPARED[scale.name] = (engine, samples, engine.predict(samples))
     return _PREPARED[scale.name]
-
-
-def _merge_bench_record(update):
-    """Read-modify-write ``BENCH_cluster.json`` (same contract as the other
-    bench files: each test owns its keys, whichever order they run in)."""
-    record = {}
-    if BENCH_PATH.exists():
-        try:
-            record = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            record = {}
-    record.update(update)
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    return record
 
 
 def _spawn_node(repo_root: Path):
@@ -222,7 +208,8 @@ def test_cluster_scaling_sweep(scale, tmp_path):
     # Identical predictions at every width: replication must not change answers.
     assert labels_by_width[1] == labels_by_width[2] == labels_by_width[3]
 
-    record = _merge_bench_record(
+    record = save_bench_record(
+        BENCH_PATH,
         {
             "cluster_scaling": {
                 "clients": CLIENTS,
@@ -271,7 +258,8 @@ def test_cluster_kill_one_replica_recovery(scale, tmp_path):
         snapshot = router.snapshot()
         assert snapshot["counters"]["shard_retries"] >= 1
 
-        record = _merge_bench_record(
+        record = save_bench_record(
+            BENCH_PATH,
             {
                 "cluster_kill_one_replica": {
                     "replicas": 3,

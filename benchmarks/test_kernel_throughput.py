@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale
+from conftest import bench_scale, save_bench_record
 
 from repro.core import EngineConfig
 from repro.experiments.common import calibrated_engine, compress_and_finetune, pretrained_model
@@ -78,7 +78,7 @@ def test_kernel_throughput(scale):
         "legacy_accuracy": round(float(legacy_acc), 4),
         "plan_accuracy": round(float(plan_acc), 4),
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    save_bench_record(BENCH_PATH, record, merge=False)
     print()
     print(json.dumps(record, indent=2))
 

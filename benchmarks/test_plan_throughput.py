@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale
+from conftest import bench_scale, save_bench_record
 
 from repro.core import OPT_LEVELS, EngineConfig, Executor
 from repro.experiments.common import calibrated_engine, compress_and_finetune, pretrained_model
@@ -211,7 +211,7 @@ def test_plan_throughput(scale):
         "shard_speedup": round(shard_speedup, 2) if shard_speedup else None,
         "accuracy": round(float(accuracies["O3"]), 4),
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    save_bench_record(BENCH_PATH, record, merge=False)
     print()
     print(json.dumps(record, indent=2))
 

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale  # noqa: F401  (scale fixture)
+from conftest import bench_scale, save_bench_record  # noqa: F401  (scale fixture)
 
 from repro.core import EngineConfig
 from repro.experiments.common import calibrated_engine, compress_and_finetune, pretrained_model
@@ -93,20 +93,6 @@ def _prepared(scale):
             samples, targets = samples[:64], targets[:64]
         _PREPARED[scale.name] = (engine, np.stack(samples), np.asarray(targets))
     return _PREPARED[scale.name]
-
-
-def _merge_bench_record(update):
-    """Read-modify-write ``BENCH_serve.json``: the throughput and overload
-    benchmarks each own their keys, whichever order they run in."""
-    record = {}
-    if BENCH_PATH.exists():
-        try:
-            record = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            record = {}
-    record.update(update)
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    return record
 
 
 def _policy_sweep():
@@ -237,7 +223,7 @@ def test_serve_throughput(scale, tmp_path):
         "speedup_vs_sequential": round(speedup, 2),
         "speedup_target": SPEEDUP_TARGET,
     }
-    record = _merge_bench_record(record)
+    record = save_bench_record(BENCH_PATH, record)
     print()
     print(json.dumps(record, indent=2))
 
@@ -268,11 +254,35 @@ OVERLOAD_WINDOW_S = 1.5 if FAST else 3.0
 OVERLOAD_POLICY = BatchPolicy(max_batch_size=16, max_delay_ms=3.0)
 
 
+def _track_settle(future):
+    """Stamp the moment ``future`` settles, from a done-callback.
+
+    The open-loop drivers read their futures only after the whole offered
+    window, so a latency taken at read time would measure the window, not
+    the server.  Returns a getter for the stamp; it waits for the callback,
+    which can run just after ``future.result()`` has already returned."""
+    stamped = threading.Event()
+    settled = []
+
+    def stamp(_):
+        settled.append(time.perf_counter())
+        stamped.set()
+
+    future.add_done_callback(stamp)
+
+    def settled_at():
+        stamped.wait()
+        return settled[0]
+
+    return settled_at
+
+
 def _open_loop(server, name, samples, rate_rps, duration_s, timeout_ms):
     """Offer ``rate_rps`` of single-sample requests for ``duration_s``
     regardless of completions (open loop: arrivals do not slow down when the
     server does), then settle every future.  Returns the outcome counts,
-    completion latencies, and (sample index, predicted label) pairs."""
+    completion latencies (submit to settle), and (sample index, predicted
+    label) pairs."""
     interval = 1.0 / rate_rps
     total = max(1, int(rate_rps * duration_s))
     outcomes = {"offered": total, "ok": 0, "shed": 0, "deadline": 0, "error": 0}
@@ -284,6 +294,7 @@ def _open_loop(server, name, samples, rate_rps, duration_s, timeout_ms):
         if due > now:
             time.sleep(due - now)
         index = i % len(samples)
+        submitted = time.perf_counter()
         try:
             future = server.predict_async(
                 name, samples[index], timeout_ms=timeout_ms
@@ -294,9 +305,9 @@ def _open_loop(server, name, samples, rate_rps, duration_s, timeout_ms):
         except DeadlineExceeded:
             outcomes["deadline"] += 1
             continue
-        inflight.append((index, time.perf_counter(), future))
+        inflight.append((index, submitted, future, _track_settle(future)))
     latencies, labels = [], []
-    for index, submitted, future in inflight:
+    for index, submitted, future, settled_at in inflight:
         try:
             output = future.result(timeout=300.0)
         except DeadlineExceeded:
@@ -306,7 +317,7 @@ def _open_loop(server, name, samples, rate_rps, duration_s, timeout_ms):
             outcomes["error"] += 1
             continue
         outcomes["ok"] += 1
-        latencies.append(time.perf_counter() - submitted)
+        latencies.append(settled_at() - submitted)
         labels.append((index, int(np.argmax(output))))
     wall = time.perf_counter() - start
     return outcomes, latencies, labels, wall
@@ -401,7 +412,8 @@ def test_serve_overload_sweep(scale, tmp_path):
     crash_row["retries"] = snap["retries"]
     crash_row["breaker_transitions"] = snap["breaker_transitions"]
 
-    record = _merge_bench_record(
+    record = save_bench_record(
+        BENCH_PATH,
         {
             "overload": {
                 "capacity_rps": round(capacity_rps, 2),
@@ -470,40 +482,32 @@ def _open_loop_horizon(server, name, samples, rate_rps, duration_s, horizon_s):
     interval = 1.0 / rate_rps
     total = max(1, int(rate_rps * duration_s))
     outcomes = {"offered": total, "ok": 0, "shed": 0, "deadline": 0, "error": 0}
-    done_at = []
-    done_lock = threading.Lock()
     inflight = []
     start = time.perf_counter()
-
-    def stamp(future):
-        if future.exception() is None:
-            now = time.perf_counter()
-            with done_lock:
-                done_at.append(now - start)
-
     for i in range(total):
         due = start + i * interval
         now = time.perf_counter()
         if due > now:
             time.sleep(due - now)
+        submitted = time.perf_counter()
         try:
             future = server.predict_async(name, samples[i % len(samples)])
         except (AdmissionRejected, QueueFull):
             outcomes["shed"] += 1
             continue
-        future.add_done_callback(stamp)
-        inflight.append((time.perf_counter(), future))
+        inflight.append((submitted, future, _track_settle(future)))
     latencies = []
-    for submitted, future in inflight:
+    completed_in_horizon = 0
+    for submitted, future, settled_at in inflight:
         try:
             future.result(timeout=300.0)
         except Exception:
             outcomes["error"] += 1
             continue
         outcomes["ok"] += 1
-        latencies.append(time.perf_counter() - submitted)
-    with done_lock:
-        completed_in_horizon = sum(1 for t in done_at if t <= horizon_s)
+        settled = settled_at()
+        latencies.append(settled - submitted)
+        completed_in_horizon += settled - start <= horizon_s
     return outcomes, latencies, completed_in_horizon
 
 
@@ -592,7 +596,8 @@ def test_serve_autoscale_sweep(scale, tmp_path):
             rows.append(row)
         results[mode] = rows
 
-    record = _merge_bench_record(
+    record = save_bench_record(
+        BENCH_PATH,
         {
             "autoscale": {
                 "capacity_rps": round(capacity_rps, 2),

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import stream_prepared
+from conftest import save_bench_record, stream_prepared
 
 from repro.core import compile_stream_plan
 from repro.datasets import PatternLibrary
@@ -45,20 +45,6 @@ FRAMES = 8 if FAST else 24
 CHANGE_FRACTIONS = (0.0, 0.01, 0.0625, 0.25, 1.0)
 TILES = (8,) if FAST else (4, 8, 16)
 LOW_CHANGE = 0.1  # the "≤10% dirty" regime the headline target applies to
-
-
-def _merge_bench_record(update):
-    """Read-modify-write ``BENCH_stream.json``: the throughput sweep and the
-    memoization ablation each own their top-level keys."""
-    record = {}
-    if BENCH_PATH.exists():
-        try:
-            record = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            record = {}
-    record.update(update)
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    return record
 
 
 def _temporal_frames(change_fraction, count, seed=0):
@@ -150,7 +136,7 @@ def test_stream_throughput():
         },
         "speedup_target": SPEEDUP_TARGET,
     }
-    merged = _merge_bench_record({"stream_throughput": record})
+    merged = save_bench_record(BENCH_PATH, {"stream_throughput": record})
     print()
     print(json.dumps(merged["stream_throughput"], indent=2))
 

@@ -5,9 +5,10 @@ program: deterministic C99 source and a binary constants blob (tables,
 border tensors, epilogue coefficients).  This module owns everything after
 that: finding a host C compiler, compiling the source into a shared library
 with a pinned flag set, and caching the result on disk keyed by the SHA-256
-of *both* artifacts — the same program content always maps to the same
-library file, so repeated binds (and server restarts) skip the compile
-entirely.
+of *both* artifacts plus the flags and ABI revision — the same program
+content built the same way always maps to the same library file, so repeated
+binds (and server restarts) skip the compile entirely, and a library built
+with other flags is never reused.
 
 Flags are part of the contract, not a tuning knob: ``-ffp-contract=off``
 forbids FMA contraction so the emitted float expressions evaluate exactly
@@ -71,18 +72,25 @@ def default_cache_dir() -> Path:
 
 
 def content_key(source: str, consts: bytes) -> str:
-    """SHA-256 over the emitted source *and* the constants blob.
+    """SHA-256 over the emitted source, the constants blob, :data:`CFLAGS`
+    and :data:`NATIVE_ABI`.
 
     Two programs that emit identical C but different constants (same
     architecture, different weights) must not share a library name for
     cache-correctness of the on-disk ``.c`` companion — the constants are
     passed at run time, but keying on both keeps one key usable as "the
-    program content hash" everywhere (artifacts, stats, cache files).
+    program content hash" everywhere (artifacts, stats, cache files).  The
+    flags and ABI revision change the library itself, so they are keyed
+    too.  No compiler is probed: a warmed cache must still serve hosts
+    without one.
     """
     digest = hashlib.sha256()
     digest.update(source.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(consts)
+    digest.update(b"\x00")
+    digest.update("\x1f".join(CFLAGS).encode("utf-8"))
+    digest.update(f"\x00abi={NATIVE_ABI}".encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -71,6 +71,10 @@ DEFAULT_RETRY_AFTER_S = 1.0
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  A reply goes out as several
+    # writes (headers, then body or chunks); with Nagle on, each write after
+    # the first waits for the client's delayed ACK (~40 ms on Linux).
+    disable_nagle_algorithm = True
 
     # The inference server is attached to the HTTP server object.
     @property

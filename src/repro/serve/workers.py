@@ -418,6 +418,7 @@ def _process_worker_main(
         return
     result_q.put(("ready", None, getattr(executor, "plan_info", None), None))
     free_out = list(range(out_ring.slots)) if out_ring is not None else []
+    batch = None
     try:
         while True:
             message = task_q.get()
@@ -451,6 +452,10 @@ def _process_worker_main(
             except Exception:
                 result_q.put(("err", job_id, traceback.format_exc(), in_slot))
     finally:
+        # ``batch`` may still be a view into ``in_ring``: drop it first, or
+        # the mmap refuses to close and SharedMemory.__del__ raises
+        # BufferError again at interpreter exit.
+        batch = None
         if in_ring is not None:
             in_ring.close()
         if out_ring is not None:

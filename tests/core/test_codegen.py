@@ -33,7 +33,7 @@ from repro.core import (
     read_program_metadata,
     save_program,
 )
-from repro.core.codegen import emit_native
+from repro.core.codegen import build, emit_native
 from repro.core.codegen.build import find_compiler
 from repro.core.pipeline import persistable_autotune
 from repro.models import create_model
@@ -180,6 +180,33 @@ def test_capable_host_rebind_clears_fallback(resnet_engine, monkeypatch):
     assert executor.backend == "native"
     assert program.pipeline_report["fallback_reason"] is None
     assert program.effective_opt_level == "O4"
+
+
+# ---------------------------------------------------------------------------
+# Build cache key (no compile involved)
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "name, value",
+    [("CFLAGS", build.CFLAGS + ("-march=native",)), ("NATIVE_ABI", build.NATIVE_ABI + 1)],
+)
+def test_cache_key_covers_flags_and_abi(monkeypatch, tmp_path, name, value):
+    source, consts = "int repro_probe(void) { return 0; }\n", b"\x01\x02"
+    key = build.content_key(source, consts)
+    warmed = tmp_path / f"repro_{key[:32]}.so"
+    warmed.write_bytes(b"")  # stands in for a library built the pinned way
+    monkeypatch.setattr(build, "find_compiler", lambda: None)
+    # A warmed cache is served without a compiler...
+    assert build.build_shared_library(source, consts, cache_dir=tmp_path) == (
+        warmed, True, None,
+    )
+    monkeypatch.setattr(build, name, value)
+    other = build.content_key(source, consts)
+    assert other != key
+    assert f"repro_{other[:32]}.so" != warmed.name
+    # ...but never to a build with other flags or another ABI: that is a
+    # cache miss, which here has no compiler to fall back on.
+    with pytest.raises(build.NoCompilerError):
+        build.build_shared_library(source, consts, cache_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------

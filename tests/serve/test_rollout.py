@@ -398,10 +398,13 @@ class TestRolloutUnderCachePressure:
                 outs, served.expected[:4], rtol=1e-9, atol=1e-12
             )
             # Both versions answer pinned traffic after the eviction churn.
+            # Each gets a full batch, so neither waits out the 60 s window.
             for version in (1, 2):
-                out = server.predict(
-                    "resnet_s", served.batch[5], version=version, timeout=120.0
-                )
+                futures = [
+                    server.predict_async("resnet_s", served.batch[i], version=version)
+                    for i in range(4, 8)
+                ]
+                outs = np.stack([f.result(timeout=120.0) for f in futures])
                 np.testing.assert_allclose(
-                    out, served.expected[5], rtol=1e-9, atol=1e-12
+                    outs, served.expected[4:8], rtol=1e-9, atol=1e-12
                 )

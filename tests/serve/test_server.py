@@ -1,9 +1,13 @@
 """End-to-end tests for InferenceServer, worker pools, and the HTTP front end."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,39 @@ class TestProcessWorkerPool:
             )
         finally:
             pool.close()
+
+    def test_teardown_closes_rings_without_buffer_errors(self, served):
+        # A worker that still holds a view into its input ring cannot close
+        # the segment, and SharedMemory.__del__ then prints a BufferError
+        # traceback at exit.  Run the pool in a fresh interpreter so its
+        # stderr, workers included, can be inspected.  The last batch fails
+        # inside the worker, the path that leaves the view bound longest.
+        script = (
+            "import sys, numpy as np\n"
+            "from repro.serve import ProcessWorkerPool\n"
+            "pool = ProcessWorkerPool(sys.argv[1], num_workers=2)\n"
+            "try:\n"
+            "    x = np.zeros((4, 3, 32, 32))\n"
+            "    for _ in range(4):\n"
+            "        pool.submit(x).result(timeout=120.0)\n"
+            "    try:\n"
+            "        pool.submit(np.zeros((2, 5, 5))).result(timeout=120.0)\n"
+            "    except Exception:\n"
+            "        pass\n"
+            "finally:\n"
+            "    pool.close()\n"
+            "print('closed')\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(served.artifact)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "closed"
+        assert "BufferError" not in done.stderr, done.stderr
 
 
 # ---------------------------------------------------------------------------
