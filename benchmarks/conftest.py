@@ -106,5 +106,5 @@ def stream_prepared(image_size: int = 64):
             EngineConfig(activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2),
         )
         engine.calibrate(loader)
-        _STREAM_PREPARED[image_size] = (engine.compile(optimize=True), engine)
+        _STREAM_PREPARED[image_size] = (engine.compile(level="O2"), engine)
     return _STREAM_PREPARED[image_size]

@@ -97,7 +97,7 @@ def main(seed: int = 0, fast: bool = False) -> None:
                 calibration_batches=2,
                 # The 8-bit deployment build compiles at the top pipeline
                 # level: graph passes + arena plan + kernel autotuning.
-                opt_level="O3" if act_bits == 8 else None,
+                opt_level="O3" if act_bits == 8 else "O2",
             ),
         )
         engine.calibrate(train_loader)

@@ -68,7 +68,7 @@ def main(seed: int = 0, fast: bool = False, port: int = 0) -> None:
         EngineConfig(activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2),
     )
     engine.calibrate(loader)
-    program = engine.compile(optimize=True)
+    program = engine.compile(level="O2")
     support = stream_support(program)
     print(f"Compiled tinyconv@{image_size}: {len(program.ops)} ops, "
           f"streamable prefix of {support['cutoff_index']} schedule steps")

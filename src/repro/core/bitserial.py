@@ -20,7 +20,7 @@ Two execution strategies coexist:
   vectorised gather-accumulate engine (the fast path).
 * ``bitserial_conv2d_reference`` / ``bitserial_linear_reference`` — the
   original Python tap-loop kernels, kept as the independent oracle for the
-  property tests and as the "legacy" side of the throughput benchmark.
+  property tests and behind the ``reference`` executor backend.
 
 Long-lived callers (the inference engine) should compile a plan once via
 :func:`repro.core.kernel_plan.compile_conv_plan` and reuse it across batches
@@ -202,7 +202,7 @@ def bitserial_conv2d_reference(
 
     Semantically identical to :func:`bitserial_conv2d` but loops in Python
     over every channel-group × kernel-tap.  Kept as the independent oracle for
-    the plan-based kernels and as the baseline of the throughput benchmark.
+    the plan-based kernels (the ``reference`` executor backend runs it).
     """
     q_x = np.asarray(q_x, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)

@@ -7,51 +7,48 @@ the microcontroller:
    mode while observing the input of every weight-pool layer.
 2. **Freezing** — derive per-layer activation quantization parameters at the
    requested activation bitwidth (iterative range search by default, §5.3.3).
-3. **Bit-serial execution** — install a runtime on every weight-pool layer
-   that quantizes its input, runs the LUT-based bit-serial kernel
-   (:mod:`repro.core.bitserial`), corrects for the activation zero point using
-   the LUT's all-ones entry, and rescales back to the real domain.  The rest
-   of the network (batch norm, activations, pooling, classifier) runs in
-   float, matching the paper's PyTorch accuracy simulation.
+3. **Bit-serial execution** — lower the calibrated model into a
+   :class:`~repro.core.program.NetworkProgram` at the configured pipeline
+   level and run it through a compiled :class:`~repro.core.program.Executor`:
+   every weight-pool layer quantizes its input, runs the LUT-based
+   bit-serial kernel (:mod:`repro.core.kernel_plan`), corrects for the
+   activation zero point using the LUT's all-ones entry, and rescales back
+   to the real domain; the rest of the network (batch norm, activations,
+   pooling, classifier) runs in float.
 
-The engine supports three execution modes:
+The engine supports two execution modes:
 
-* ``use_lut=True`` (default) — full bit-serial LUT simulation (optionally with
-  a quantized LUT, Table 5).
+* ``use_lut=True`` (default) — the compiled bit-serial program (optionally
+  with a quantized LUT, Table 5).  Executors are cached per input shape, so
+  a batch at any supported shape runs the program compiled for it.
 * ``use_lut=False`` — "No-LUT" mode: activations are fake-quantized and the
-  reconstructed pool weights are used directly (the Table 5 reference column).
-* ``float`` (no engine installed) — plain weight-pool accuracy (Table 4).
+  reconstructed pool weights are used directly (the Table 5 reference
+  column).  It runs the model's own forward with a fake-quant hook on every
+  weight-pool layer.
 
-Since the whole-network compiler landed, the default execution path is
-**compile-then-execute**: after calibration the engine lowers the model into a
-:class:`~repro.core.program.NetworkProgram` (BatchNorm folded into the
-bit-serial epilogues, back-to-back dequantize→quantize pairs elided) and
-delegates ``predict``/``evaluate`` to the batched graph
-:class:`~repro.core.program.Executor`.  The original per-layer runtime-install
-path is kept as the oracle — ``EngineConfig(use_graph=False)``, or entering
-the engine as a context manager, still runs it.
+Plain weight-pool accuracy (Table 4) is :meth:`BitSerialInferenceEngine.
+evaluate_float`.  The oracle for every level and backend is
+``Executor(engine.compile(level="O0"), backend="reference")``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.bitserial import bitserial_conv2d_reference, bitserial_linear_reference
-from repro.core.kernel_plan import compile_conv_plan, compile_linear_plan
 from repro.core.layers import WeightPoolConv2d, WeightPoolLinear
 from repro.core.lut import LookupTable, build_lut
 from repro.core.pipeline import OPT_LEVELS
 from repro.core.program import Executor, NetworkProgram, compile_network
 from repro.core.weight_pool import WeightPool
 from repro.nn import DataLoader, Module
-from repro.nn.training.trainer import evaluate_model
+from repro.nn.training.trainer import evaluate_model, evaluate_predictions
 from repro.quantization.activation import ActivationQuantizer
 from repro.quantization.calibration import CalibrationMethod
-from repro.quantization.quantizer import QuantParams, fake_quantize, quantize
+from repro.quantization.quantizer import QuantParams, fake_quantize
 
 
 @dataclass
@@ -64,28 +61,11 @@ class EngineConfig:
     calibration_method: CalibrationMethod = CalibrationMethod.ITERATIVE
     calibration_batches: int = 4
     active_bits: Optional[int] = None  # early termination (MSB-first truncation)
-    # Execute through compiled per-layer kernel plans (vectorised
-    # gather-accumulate, fused epilogue).  False falls back to the original
-    # Python tap-loop kernels — kept for A/B benchmarking and as a debugging
-    # oracle.  With a full-precision LUT the raw kernels are bit-exact; the
-    # engine outputs differ only by the fused epilogue's float association
-    # (alpha*acc + beta vs scale*(raw - z*sum_w) + bias), ~1e-10 relative.
-    use_kernel_plans: bool = True
-    # Execute predict/evaluate through the whole-network compiled program
-    # (lower → optimize → batched executor).  False re-enters the per-layer
-    # runtime-install path on every batch — PR 1's engine, kept as the oracle
-    # and as the baseline of the graph throughput benchmark.
-    use_graph: bool = True
-    # Apply the graph-level passes (BatchNorm folding, requantize fusion).
-    # False compiles the canonical op stream, which executes the exact same
-    # plans in the exact same float association as the per-layer path.
-    graph_optimize: bool = True
-    # Pipeline optimization level (one of repro.core.pipeline.OPT_LEVELS,
-    # "O0".."O3").  None derives the level from ``graph_optimize`` ("O2" /
-    # "O0", the pre-pass-manager behaviour); an explicit level wins over
-    # ``graph_optimize``.  "O3" additionally autotunes kernel variants and
-    # tile/shard choices at compile time (bitwise-identical outputs).
-    opt_level: Optional[str] = None
+    # Pipeline optimization level of compile/predict/evaluate (one of
+    # repro.core.pipeline.OPT_LEVELS).  "O3" additionally autotunes kernel
+    # variants and tile/shard choices at compile time (bitwise-identical
+    # outputs); "O4" runs native C segments where the host can build them.
+    opt_level: str = "O2"
 
     def __post_init__(self) -> None:
         if not 1 <= self.activation_bitwidth <= 8:
@@ -96,7 +76,7 @@ class EngineConfig:
             raise ValueError(f"lut_bitwidth must be in [2, 16], got {self.lut_bitwidth}")
         if self.active_bits is not None and not 1 <= self.active_bits <= self.activation_bitwidth:
             raise ValueError("active_bits must be in [1, activation_bitwidth]")
-        if self.opt_level is not None and self.opt_level not in OPT_LEVELS:
+        if self.opt_level not in OPT_LEVELS:
             raise ValueError(
                 f"unknown optimization level {self.opt_level!r}; valid levels: "
                 f"{', '.join(OPT_LEVELS)}"
@@ -114,70 +94,14 @@ class _CalibrationRuntime:
         return _float_forward(layer, x)
 
 
-class _BitSerialRuntime:
-    """Runtime that executes a weight-pool layer with the bit-serial LUT kernel."""
+class _FakeQuantRuntime:
+    """No-LUT mode: fake-quantized activations into the float pool weights."""
 
-    def __init__(self, engine: "BitSerialInferenceEngine"):
-        self.engine = engine
+    def __init__(self, params: Dict[int, QuantParams]):
+        self.params = params
 
     def run(self, layer, x: np.ndarray) -> np.ndarray:
-        config = self.engine.config
-        params = self.engine.activation_params[id(layer)]
-        lut = self.engine.lut
-
-        if not config.use_lut:
-            # "No-LUT" reference: fake-quantized activations, float pool weights.
-            return _float_forward(layer, fake_quantize(x, params))
-
-        q_x = quantize(x, params)
-        zero_point = params.zero_point
-        if isinstance(layer, WeightPoolConv2d):
-            # The expected-channel check is resolved once per layer at compile
-            # time (`_pad_for`); the hot path only pads when it must.
-            pad = self.engine._pad_for(layer)
-            if pad:
-                q_x = np.pad(
-                    q_x,
-                    ((0, 0), (0, pad), (0, 0), (0, 0)),
-                    mode="constant",
-                    constant_values=zero_point,
-                )
-            if config.use_kernel_plans:
-                plan = self.engine._plan_for(layer)
-                return plan(q_x, active_bits=config.active_bits)
-            raw = bitserial_conv2d_reference(
-                q_x,
-                layer.indices,
-                lut,
-                stride=layer.stride,
-                padding=layer.padding,
-                act_bitwidth=config.activation_bitwidth,
-                active_bits=config.active_bits,
-                pad_value=zero_point,
-            )
-            # Zero-point correction: dot(a, w) = scale * (dot(q, w) - z * sum(w)).
-            w_sums = self.engine._layer_w_sums(layer)
-            out = params.scale * (raw - zero_point * w_sums.reshape(1, -1, 1, 1))
-            if layer.bias is not None:
-                out = out + layer.bias.data.reshape(1, -1, 1, 1)
-            return out
-        if isinstance(layer, WeightPoolLinear):
-            if config.use_kernel_plans:
-                plan = self.engine._plan_for(layer)
-                return plan(q_x, active_bits=config.active_bits)
-            raw = bitserial_linear_reference(
-                q_x,
-                layer.indices,
-                lut,
-                act_bitwidth=config.activation_bitwidth,
-                active_bits=config.active_bits,
-            )
-            w_sums = self.engine._layer_w_sums(layer)
-            out = params.scale * (raw - zero_point * w_sums.reshape(1, -1))
-            if layer.bias is not None:
-                out = out + layer.bias.data
-            return out
-        raise TypeError(f"unsupported weight-pool layer type {type(layer).__name__}")
+        return _float_forward(layer, fake_quantize(x, self.params[id(layer)]))
 
 
 def _float_forward(layer, x: np.ndarray) -> np.ndarray:
@@ -188,20 +112,6 @@ def _float_forward(layer, x: np.ndarray) -> np.ndarray:
         return layer.forward(x)
     finally:
         layer.runtime = runtime
-
-
-def _channel_padding(layer: WeightPoolConv2d) -> int:
-    """Zero-point channels to pad so activations match the layer's indices.
-
-    Static per layer (indices vs. declared ``in_channels``), so the engine
-    computes it once at compile time instead of re-deriving — and previously
-    re-checking — it on every batch.
-    """
-    expected = layer.indices.shape[1] * layer.pool.group_size
-    pad = expected - layer.in_channels
-    if pad < 0:
-        raise ValueError("layer declares more channels than its indices cover")
-    return pad
 
 
 class BitSerialInferenceEngine:
@@ -227,16 +137,12 @@ class BitSerialInferenceEngine:
         self.activation_params: Dict[int, QuantParams] = {}
         self.lut: Optional[LookupTable] = None
         self._calibrated = False
-        # Per-layer compiled state, built lazily on first use and invalidated
-        # whenever the LUT or the activation parameters change.
-        self._plans: Dict[int, object] = {}
-        self._w_sums: Dict[int, np.ndarray] = {}
-        self._pads: Dict[int, int] = {}
-        # Whole-network compiled state: (C, H, W) recorded during calibration,
-        # executors cached per (backend, optimize, active_bits).
+        # Per-sample input shape recorded during calibration (the default
+        # compile shape), and the executors built so far, keyed on
+        # (backend, level, input shape, active_bits).  Cleared whenever the
+        # LUT or the activation parameters change.
         self.input_shape: Optional[Tuple[int, ...]] = None
         self._executors: Dict[tuple, Executor] = {}
-        self._graph_unsupported = False
 
     # -- lifecycle ---------------------------------------------------------------
     def calibrate(self, loader: DataLoader, batches: Optional[int] = None) -> None:
@@ -278,7 +184,7 @@ class BitSerialInferenceEngine:
         if self.config.lut_bitwidth is not None:
             lut = lut.quantize(self.config.lut_bitwidth)
         self.lut = lut
-        self._invalidate_compiled()
+        self._executors.clear()
 
     def set_activation_bitwidth(self, bitwidth: int) -> None:
         """Re-freeze activation quantizers at a new bitwidth (no re-calibration needed).
@@ -302,106 +208,38 @@ class BitSerialInferenceEngine:
         )
         for layer in self.layers:
             self.activation_params[id(layer)] = self.quantizers[id(layer)].set_bitwidth(bitwidth)
-        self._invalidate_compiled()
+        self._executors.clear()
 
     def set_lut_bitwidth(self, bitwidth: Optional[int]) -> None:
         """Change the LUT storage bitwidth and rebuild the table."""
         self.config = replace(self.config, lut_bitwidth=bitwidth)
         self._build_lut()
 
-    # -- compiled per-layer state ---------------------------------------------
-    def _invalidate_compiled(self) -> None:
-        """Drop cached kernel plans, executors and sums (LUT/params changed)."""
-        self._plans.clear()
-        self._w_sums.clear()
-        self._pads.clear()
-        self._executors.clear()
-
-    def _pad_for(self, layer: WeightPoolConv2d) -> int:
-        """Compile-time channel padding for ``layer`` (0 for most layers)."""
-        key = id(layer)
-        pad = self._pads.get(key)
-        if pad is None:
-            pad = _channel_padding(layer)
-            self._pads[key] = pad
-        return pad
-
-    def _plan_for(self, layer):
-        """The compiled kernel plan for ``layer``, building it on first use.
-
-        Plans snapshot the layer's indices, the LUT, and the frozen activation
-        parameters; :meth:`_invalidate_compiled` must run when any of those
-        change (``set_activation_bitwidth`` / ``set_lut_bitwidth`` do).
-        """
-        key = id(layer)
-        plan = self._plans.get(key)
-        if plan is None:
-            params = self.activation_params[key]
-            bias = layer.bias.data if layer.bias is not None else None
-            if isinstance(layer, WeightPoolConv2d):
-                plan = compile_conv_plan(
-                    layer.indices,
-                    self.lut,
-                    stride=layer.stride,
-                    padding=layer.padding,
-                    act_bitwidth=self.config.activation_bitwidth,
-                    pad_value=params.zero_point,
-                    scale=params.scale,
-                    zero_point=params.zero_point,
-                    bias=bias,
-                )
-            else:
-                plan = compile_linear_plan(
-                    layer.indices,
-                    self.lut,
-                    act_bitwidth=self.config.activation_bitwidth,
-                    scale=params.scale,
-                    zero_point=params.zero_point,
-                    bias=bias,
-                )
-            self._plans[key] = plan
-        return plan
-
-    def _layer_w_sums(self, layer) -> np.ndarray:
-        """Per-filter pool-vector sums for the zero-point correction, cached."""
-        key = id(layer)
-        w_sums = self._w_sums.get(key)
-        if w_sums is None:
-            gathered = self.lut.pool_vector_sums()[layer.indices]
-            w_sums = gathered.reshape(layer.indices.shape[0], -1).sum(axis=1)
-            self._w_sums[key] = w_sums
-        return w_sums
-
     # -- whole-network compilation ---------------------------------------------
     def compile(
         self,
-        optimize: Optional[bool] = None,
+        level: Optional[str] = None,
         backend: Optional[str] = None,
         input_shape: Optional[Tuple[int, ...]] = None,
-        level: Optional[str] = None,
     ) -> NetworkProgram:
         """Lower the calibrated model into a :class:`NetworkProgram`.
 
-        Builds (and caches) the matching graph :class:`Executor`; ``predict``
-        and ``evaluate`` delegate to it.  The pipeline optimization ``level``
-        (``O0``–``O3``) defaults to the engine config (``opt_level`` when
-        set, else ``graph_optimize`` → ``O2``/``O0``); an explicit boolean
-        ``optimize`` keeps its legacy meaning (``O2``/``O0``).  ``backend``
-        defaults to plan vs reference kernels per ``use_kernel_plans``;
-        ``input_shape`` to the shape recorded during calibration.  Unknown
-        level names raise :class:`ValueError` listing the valid choices.
+        Builds (and caches) the matching :class:`Executor`; ``predict`` and
+        ``evaluate`` run through the same cache.  The pipeline optimization
+        ``level`` (``O0``–``O4``) defaults to ``config.opt_level``;
+        ``backend`` to ``native`` for ``O4`` and ``plan`` otherwise;
+        ``input_shape`` (``(C, H, W)`` or ``(F,)``) to the shape recorded
+        during calibration.  Unknown level names raise :class:`ValueError`
+        listing the valid choices; models without ``lower_into`` hooks raise
+        :class:`NotImplementedError`.
         """
-        executor = self._executor(
-            optimize=optimize, backend=backend, input_shape=input_shape, level=level
-        )
-        return executor.program
+        return self._executor(level=level, backend=backend, input_shape=input_shape).program
 
     def export(
         self,
         path,
-        optimize: Optional[bool] = None,
-        input_shape: Optional[Tuple[int, ...]] = None,
         level: Optional[str] = None,
+        input_shape: Optional[Tuple[int, ...]] = None,
     ) -> NetworkProgram:
         """Compile the network and persist it as a program artifact.
 
@@ -414,47 +252,30 @@ class BitSerialInferenceEngine:
         """
         from repro.core.export import save_program  # engine is imported by export
 
-        program = self.compile(optimize=optimize, input_shape=input_shape, level=level)
+        program = self.compile(level=level, input_shape=input_shape)
         save_program(program, path)
         return program
 
-    def _resolve_level(
-        self, optimize: Optional[bool], level: Optional[str]
-    ) -> str:
-        """The pipeline level for a compile request (explicit level wins,
-        then the legacy ``optimize`` boolean, then the engine config)."""
-        if level is not None:
-            return level
-        if optimize is not None:
-            return "O2" if optimize else "O0"
-        if self.config.opt_level is not None:
-            return self.config.opt_level
-        return "O2" if self.config.graph_optimize else "O0"
-
     def _executor(
         self,
-        optimize: Optional[bool] = None,
+        level: Optional[str] = None,
         backend: Optional[str] = None,
         input_shape: Optional[Tuple[int, ...]] = None,
-        level: Optional[str] = None,
     ) -> Executor:
         if not self._calibrated:
             raise RuntimeError("calibrate() must be called before compiling the network")
-        level = self._resolve_level(optimize, level)
+        level = level or self.config.opt_level
         if backend is None:
             # Defaulted backends route O4 programs to the native codegen
             # backend; the executor degrades back to ``plan`` (surfacing a
             # ``fallback_reason``) on hosts that cannot build it.  An explicit
-            # ``backend="plan"`` stays the pure plan oracle.
-            if self.config.use_kernel_plans:
-                backend = "native" if level == "O4" else "plan"
-            else:
-                backend = "reference"
+            # ``backend="plan"`` stays the pure plan backend.
+            backend = "native" if level == "O4" else "plan"
         input_shape = tuple(input_shape or self.input_shape or ())
-        if len(input_shape) != 3:
+        if not input_shape:
             raise RuntimeError(
-                "input shape unknown; calibrate with (N, C, H, W) batches or "
-                "pass input_shape explicitly"
+                "input shape unknown; calibrate on batched data or pass "
+                "input_shape explicitly"
             )
         key = (backend, level, input_shape, self.config.active_bits)
         executor = self._executors.get(key)
@@ -471,31 +292,6 @@ class BitSerialInferenceEngine:
             self._executors[key] = executor
         return executor
 
-    def _graph_executor_or_none(self, inputs: Optional[np.ndarray] = None) -> Optional[Executor]:
-        """The executor for the current config, or ``None`` for legacy-only modes."""
-        if not self.config.use_graph or not self.config.use_lut or self._graph_unsupported:
-            return None
-        input_shape = None
-        if inputs is not None and np.ndim(inputs) == 4:
-            # Program execution is spatial-size-agnostic (plans, pools and
-            # epilogues all adapt per batch), so varying H/W reuses the
-            # calibration-shape executor instead of recompiling per shape;
-            # only a channel-count change forces a fresh compile.
-            channels = int(np.shape(inputs)[1])
-            if self.input_shape is None or len(self.input_shape) != 3 or self.input_shape[0] != channels:
-                input_shape = tuple(np.shape(inputs)[1:])
-        if input_shape is None and (self.input_shape is None or len(self.input_shape) != 3):
-            # Lowering needs a (C, H, W) input; models calibrated on other
-            # shapes (e.g. a linear-only model fed (N, F) batches) keep
-            # running through the per-layer runtime.
-            return None
-        try:
-            return self._executor(input_shape=input_shape)
-        except NotImplementedError:
-            # Model without lowering hooks: fall back to the per-layer runtime.
-            self._graph_unsupported = True
-            return None
-
     # -- execution ---------------------------------------------------------------
     def _install(self, runtime) -> None:
         for layer in self.layers:
@@ -505,49 +301,29 @@ class BitSerialInferenceEngine:
         for layer in self.layers:
             layer.runtime = None
 
-    def __enter__(self) -> "BitSerialInferenceEngine":
-        if not self._calibrated:
-            raise RuntimeError("calibrate() must be called before entering the engine")
-        self.model.eval()
-        self._install(_BitSerialRuntime(self))
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._uninstall()
-
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Run one batch through the model in bit-serial mode.
 
-        Executes the compiled network program by default; the legacy
-        per-layer runtime path runs for ``use_graph=False``, ``use_lut=False``
-        (the No-LUT mode has no bit-serial ops to compile) and models without
-        lowering hooks.
+        Executes the program compiled for the batch's per-sample shape (built
+        on first use).  No-LUT mode (``use_lut=False``) runs the model's
+        float forward with fake-quantized weight-pool inputs instead.
         """
-        executor = self._graph_executor_or_none(inputs)
-        if executor is not None:
-            return executor.run(inputs)
-        with self:
+        inputs = np.asarray(inputs)
+        if self.config.use_lut:
+            return self._executor(input_shape=inputs.shape[1:]).run(inputs)
+        if not self._calibrated:
+            raise RuntimeError("calibrate() must be called before predicting")
+        self.model.eval()
+        self._install(_FakeQuantRuntime(self.activation_params))
+        try:
             return self.model(inputs)
+        finally:
+            self._uninstall()
 
     def evaluate(self, loader: DataLoader) -> float:
         """Top-1 accuracy of the bit-serial execution over a loader."""
-        executor = self._graph_executor_or_none()
-        if executor is not None:
-            return executor.evaluate(loader)
-        with self:
-            return evaluate_model(self.model, loader)
+        return evaluate_predictions(self.predict, loader)
 
     def evaluate_float(self, loader: DataLoader) -> float:
-        """Accuracy of the plain (float) weight-pool model, for comparison.
-
-        Restores whatever runtimes were installed before the call (so it can
-        be used inside an active engine context, and an exception mid-way
-        cannot leave the model half-uninstalled).
-        """
-        runtimes = [layer.runtime for layer in self.layers]
-        self._uninstall()
-        try:
-            return evaluate_model(self.model, loader)
-        finally:
-            for layer, runtime in zip(self.layers, runtimes):
-                layer.runtime = runtime
+        """Accuracy of the plain (float) weight-pool model, for comparison."""
+        return evaluate_model(self.model, loader)

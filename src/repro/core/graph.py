@@ -1,8 +1,6 @@
 """Network-level lowering: turn a ``Module`` tree into a flat dataflow graph.
 
-The per-layer engine of PR 1 executes the network by monkey-patching
-``layer.runtime`` and re-entering the Python ``Module.forward`` tree for every
-batch.  Whole-network compilation instead *lowers* the model once into a flat
+Whole-network compilation *lowers* the model once into a flat
 list of :class:`GraphOp` nodes in execution order, each reading and writing
 numbered buffers — the front end of the compile pipeline
 (``calibrate → lower → optimize passes → execute/export``).
@@ -169,14 +167,14 @@ class GraphBuilder:
 
 
 def lower_model(model: Module, input_shape: Tuple[int, ...]) -> NetworkGraph:
-    """Lower ``model`` into a :class:`NetworkGraph` for a ``(C, H, W)`` input.
+    """Lower ``model`` into a :class:`NetworkGraph` for a ``(C, H, W)`` or
+    ``(F,)`` (linear-only model) per-sample input.
 
-    Raises ``NotImplementedError`` when the model (or one of its children)
-    does not implement the ``lower_into`` hook; callers that support a legacy
-    fallback (the inference engine, the MCU estimators) catch this.
+    Raises ``NotImplementedError`` naming the module when the model (or one
+    of its children) does not implement the ``lower_into`` hook.
     """
-    if len(input_shape) != 3:
-        raise ValueError(f"expected a (C, H, W) input shape, got {input_shape}")
+    if len(input_shape) not in (1, 3):
+        raise ValueError(f"expected a (C, H, W) or (F,) input shape, got {input_shape}")
     builder = GraphBuilder(input_shape)
     model.eval()
     output = builder.lower(model, builder.input_id)

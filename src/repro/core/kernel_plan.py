@@ -72,8 +72,8 @@ def scratch_buf(scratch: Optional[dict], name: str, shape, dtype) -> np.ndarray:
     ``scratch`` is a caller-owned dict keyed by ``(name, shape, dtype)``; the
     graph executor hands every kernel-plan step a per-shard dict so repeated
     batches of the same geometry never re-allocate their gather temporaries
-    (pool partials, tap scratch, accumulators).  ``None`` (the per-layer
-    engine path) allocates exactly as before.  Buffers come back
+    (pool partials, tap scratch, accumulators).  ``None`` (the executor's
+    step interpreter) allocates afresh.  Buffers come back
     *uninitialised* — callers must fully overwrite or ``fill`` them.
     """
     if scratch is None:
@@ -177,27 +177,37 @@ class ConvKernelPlan:
     # during the tap reduction.  Cuts the bit-encode and gather work by the
     # border fraction (11% at 32², 34% at 8² for 3×3/pad-1) and skips the
     # per-batch pad copy.  Changes only the float *order* of the tap sum, so
-    # the per-layer engine keeps it off to preserve PR 1 bit-exactness.
+    # unoptimized (O0) programs keep it off.
     hoist_padding: bool = False
     # Compile-time per-group row offsets folding the group axis into the
     # direct-mode gather rows (hoisted out of ``_pool_partials``, which used
     # to rebuild this arange on every batch).
     row_offsets: Optional[np.ndarray] = None
     # Stage-2 schedule: "fused" gathers every kernel position's columns in
-    # one wide ``np.take`` per channel group (PR 2's choice, fewest kernel
-    # launches); "per_tap" gathers one kernel position at a time into a
-    # small buffer that stays cache-hot across the strided adds.  The
+    # one wide ``np.take`` per channel group (fewest kernel launches);
+    # "per_tap" gathers one kernel position at a time into a small buffer
+    # that stays cache-hot across the strided adds.  The
     # accumulation order over (group, tap) is identical, so both schedules
     # produce bitwise-equal results; the ahead-of-time execution planner
     # (which fixes the micro-batch tile and supplies reusable scratch at
     # compile time — the regime where the narrow gather measures fastest)
     # selects "per_tap" for the plans it manages.
     tap_gather: str = "fused"
-    # Address encoder: "packbits" (PR 1's unpackbits/packbits bit-matrix
-    # transpose) or "bitmul" (the uint64 mask-multiply transpose, ~16× faster
-    # for full 8-channel groups; identical addresses).  Another ahead-of-time
-    # planner specialization — the pooled path keeps PR 2's execution.
-    encoder: str = "packbits"
+
+    @property
+    def encoder(self) -> str:
+        """The address encoder this plan's input geometry selects.
+
+        ``"bitmul"`` (a uint64 mask-multiply bit-matrix transpose, ~16×
+        faster than the alternative) needs full 8-channel groups, at most
+        8 activation bits and a little-endian host; every other
+        configuration uses ``"packbits"`` (``np.unpackbits``/``np.packbits``,
+        or the generic encoder beyond 8 bits).  Both produce identical
+        addresses.
+        """
+        if self.group_size == 8 and self.act_bitwidth <= 8 and sys.byteorder == "little":
+            return "bitmul"
+        return "packbits"
 
     # -- stage 1: per-pixel bit-serial pool partials ---------------------------
     def _encode_addresses(
@@ -206,9 +216,9 @@ class ConvKernelPlan:
         """Per-bit LUT addresses ``(G, N, Hp, Wp, M)`` of the (padded) image.
 
         For the paper's configuration (group size and activation bitwidth both
-        ≤ 8) the addresses are produced by ``np.packbits`` over uint8 data —
-        a bit-matrix transpose at C speed; other configurations fall back to
-        the generic :func:`~repro.core.bitserial.bit_vector_values` encoder.
+        ≤ 8) the addresses are a bit-matrix transpose of uint8 data at C speed
+        (see :attr:`encoder`); other configurations fall back to the generic
+        :func:`~repro.core.bitserial.bit_vector_values` encoder.
         Inputs are range-validated by ``__call__`` before this runs.
         ``pad=False`` (the padding-hoist pipeline) encodes the raw image.
         With a ``scratch`` dict, the dtype-compaction and layout copies land
@@ -247,11 +257,7 @@ class ConvKernelPlan:
             contig = scratch_buf(scratch, "grouped", grouped.shape, np.uint8)
             np.copyto(contig, grouped)
             grouped = contig
-        if (
-            self.encoder == "bitmul"
-            and self.group_size == 8
-            and sys.byteorder == "little"
-        ):
+        if self.encoder == "bitmul":
             # uint64 bit-matrix transpose: one shift/and/multiply/shift pass
             # per bit position over the group words, no 8× bit expansion.
             words = grouped.view(np.uint64)[..., 0]  # (G, N, Hp, Wp)
@@ -509,7 +515,7 @@ class ConvKernelPlan:
         else:
             # One gather per channel group covering every kernel position at
             # once (the per-tap loop then adds strided views) — KH·KW× fewer
-            # kernel launches; PR 2's schedule, kept for the pooled path.
+            # kernel launches; the default outside the ahead-of-time plan.
             scratch = scratch_buf(scratch_dict, "tap_cols", (n, h * w, kh * kw * f), pv.dtype)
             taps = scratch.reshape(n, h, w, kh * kw, f)
             for g in range(groups):

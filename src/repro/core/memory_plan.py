@@ -1,11 +1,11 @@
 """Ahead-of-time execution plans: liveness → arena offsets → fused steps.
 
-The pooled :class:`~repro.core.program.Executor` pays three per-batch costs
-the compiler can eliminate: every op walks the refcounted buffer pool, every
-piece of elementwise glue (quantize/batchnorm/activation/pool/add) is its own
-Python dispatch with its own temporaries, and nothing about the memory the
-program will touch is known before the first batch runs.  This module moves
-all of that to compile time:
+The :class:`~repro.core.program.Executor`'s step interpreter pays three
+per-batch costs the compiler can eliminate: every op allocates its output,
+every piece of elementwise glue (quantize/batchnorm/activation/pool/add) is
+its own Python dispatch with its own temporaries, and nothing about the
+memory the program will touch is known before the first batch runs.  This
+module moves all of that to compile time for ``O2`` and higher programs:
 
 * **Buffer specs** — per-buffer *(per-sample shape, dtype)* inferred
   statically from the typed IR, so every activation's byte size is known
@@ -28,12 +28,13 @@ all of that to compile time:
   (deterministic assembly, per-sample-exact ops).
 
 The plan executes the **same ufunc sequence in the same order** as the
-pooled path, only into preallocated memory — outputs are bitwise identical,
-which `tests/core/test_memory_plan.py` enforces against both the pooled
-executor and the reference backend.  Programs the planner cannot type (an
-unbound backend, an op kind it does not know) raise
-:class:`PlanUnsupported` and the executor keeps the buffer pool as the
-fallback, which remains the path for unoptimized/reference programs.
+interpreter, only into preallocated memory — outputs are bitwise identical,
+which `tests/core/test_memory_plan.py` enforces against the interpreter at
+the same tile and against the ``O0`` reference oracle.  Programs the
+planner cannot type (an unbound backend, an op kind it does not know) raise
+:class:`PlanUnsupported`; the executor then runs them through the
+interpreter, which is also the path for ``O0``/``O1`` and ``reference``
+programs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _GLUE_KINDS = frozenset(
 
 
 class PlanUnsupported(RuntimeError):
-    """The program cannot be planned ahead of time; use the pooled executor."""
+    """The program cannot be planned ahead of time; use the interpreter."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def infer_buffer_specs(program, steps) -> Dict[int, BufferSpec]:
 
     The program input is typed ``float64`` — the planned executor converts
     incoming batches (data loaders already produce float64).  Dtypes then
-    propagate exactly as the pooled step implementations produce them.
+    propagate exactly as the interpreter's step implementations produce them.
     """
     specs: Dict[int, BufferSpec] = {
         program.input_id: BufferSpec(tuple(program.input_shape), np.dtype(np.float64))
@@ -186,10 +187,10 @@ def infer_buffer_specs(program, steps) -> Dict[int, BufferSpec]:
 def _compile_stage_fn(op, bound_step, active_bits, stage_key):
     """Compile one op into an out-aware ``fn(args, out, ctx)``.
 
-    Every implementation runs the exact ufunc sequence of the pooled
-    executor's `_exec_generic` (or of the kernel plan), only targeting the
-    caller-provided ``out`` — outputs are bitwise identical to the pooled
-    path.  ``out=None`` falls back to a fresh allocation (view and heap
+    Every implementation runs the exact ufunc sequence of the
+    interpreter's `_exec_generic` (or of the kernel plan), only targeting the
+    caller-provided ``out`` — outputs are bitwise identical to the
+    interpreter.  ``out=None`` falls back to a fresh allocation (view and heap
     placements, chain interiors that are views).
     """
     kind = op.kind
@@ -342,7 +343,7 @@ def _compile_stage_fn(op, bound_step, active_bits, stage_key):
     if kind == "linear":
         weight, bias = attrs["weight"], attrs["bias"]
         # The transposed *view* (not a contiguous copy): BLAS picks the same
-        # kernel as the pooled path's ``x @ weight.T``, keeping the result
+        # kernel as the interpreter's ``x @ weight.T``, keeping the result
         # bitwise identical.
         weight_t = weight.T
 
@@ -712,15 +713,12 @@ def compile_execution_plan(program, steps, tile: int, active_bits=None) -> Execu
 def _specialize_kernel_plans(steps, active_bits) -> None:
     """Retarget this schedule's kernel plans at the planned runtime.
 
-    Three compile-time decisions: switch stage 2 to the per-tap gather (the
+    Two compile-time decisions: switch stage 2 to the per-tap gather (the
     narrow column buffer lives in shard scratch and stays cache-hot at the
     plan's fixed tile — see ``ConvKernelPlan.tap_gather``; bitwise-equal
-    accumulation order), switch the address encoder to the uint64
-    mask-multiply bit transpose (identical addresses, ~16× less encode
-    work), and precompute the hoisted-padding border tensors so shard
-    workers never race to derive the same constants.  The plans are private
-    to this executor's bind — the pooled executor compiles its own,
-    untouched ones, preserving PR 2's execution for A/B comparison.
+    accumulation order), and precompute the hoisted-padding border tensors
+    so shard workers never race to derive the same constants.  The plans
+    are private to this executor's bind.
     """
     for step in steps:
         plan = getattr(step, "plan", None)
@@ -731,7 +729,6 @@ def _specialize_kernel_plans(steps, active_bits) -> None:
             # The heuristic defaults (O2); the O3 autotuner measured its own
             # winners and marked the plan — leave those alone.
             conv_plan.tap_gather = "per_tap"
-            conv_plan.encoder = "bitmul"
         if not (conv_plan.hoist_padding and conv_plan.padding):
             continue
         op = step.op

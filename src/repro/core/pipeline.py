@@ -3,8 +3,8 @@
 PRs 1–4 grew four layers of execution machinery (per-layer kernel plans, the
 graph IR, ahead-of-time memory plans, serving), but the glue between them was
 ad-hoc: :func:`~repro.core.program.compile_network` hard-coded two pass
-calls, kernel-variant choices (per-tap gather vs mask-multiply encoder, tile
-size, shard count) were baked-in heuristics, and nothing verified the IR
+calls, kernel-variant choices (fused vs per-tap gather, tile size, shard
+count) were baked-in heuristics, and nothing verified the IR
 between transformations.  This module organizes all of it the way production
 ML compilers do — as a *pass pipeline* with verification and empirical
 tuning:
@@ -20,8 +20,8 @@ tuning:
   counts before/after, verifier runs) that travels with the program: into
   saved artifact headers, repository metadata, and the serve ``/stats``
   payload.
-* **Optimization levels** — ``O0`` is the reference lowering (bit-exact
-  with the per-layer engine), ``O1`` adds the graph passes (BatchNorm fold,
+* **Optimization levels** — ``O0`` is the reference lowering (on the
+  ``reference`` backend, the oracle), ``O1`` adds the graph passes (BatchNorm fold,
   requantize fusion, quantize CSE, activation-clip fold), ``O2`` adds the
   ahead-of-time fusion/arena memory plan, and ``O3`` adds compile-time
   kernel autotuning.  Every level produces the same predictions — the graph
@@ -36,8 +36,8 @@ tuning:
   pipeline exit always, so a broken pass fails at compile time with the
   offending op named instead of deep inside a kernel.
 * :func:`autotune_schedule` — the ``O3`` empirical tuner: micro-benchmarks
-  candidate kernel specializations (stage-2 tap gather schedule, address
-  encoder), micro-batch tile sizes and shard counts on synthetic inputs at
+  candidate kernel specializations (the stage-2 tap gather schedule),
+  micro-batch tile sizes and shard counts on synthetic inputs at
   compile time, picks winners per layer, and records every decision in the
   pipeline report.  All candidates are bitwise-identical (the tuner asserts
   it on the spot), so tuning can never change outputs — only speed.
@@ -50,7 +50,6 @@ moved here with identical semantics and are re-exported from
 from __future__ import annotations
 
 import os
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -376,7 +375,7 @@ register_pass(Pass(
 ))
 register_pass(Pass(
     name="autotune", stage="tune", level="O3",
-    rewrites="micro-benchmarks kernel specializations (tap gather, address encoder) and tile/shard choices, picks winners per layer",
+    rewrites="micro-benchmarks kernel specializations (tap gather) and tile/shard choices, picks winners per layer",
     counters=("layers_tuned", "trials", "tile", "n_shards"),
 ))
 register_pass(Pass(
@@ -647,7 +646,7 @@ def record_stage_report(program, report: Dict[str, Any]) -> None:
 def persistable_autotune(decisions: Dict[str, Any]) -> Dict[str, Any]:
     """The replayable core of an autotune decisions dict.
 
-    Only the per-layer kernel winners persist — they are program
+    Only the per-layer tap-gather winners persist — they are program
     properties, identical on any host, and identical whatever tile/shard
     overrides a particular bind used (so a later bind recording its report
     never changes them).  Tile and shard picks are host properties and stay
@@ -656,7 +655,7 @@ def persistable_autotune(decisions: Dict[str, Any]) -> Dict[str, Any]:
     """
     return {
         "layers": {
-            key: {"tap_gather": pick["tap_gather"], "encoder": pick["encoder"]}
+            key: {"tap_gather": pick["tap_gather"]}
             for key, pick in decisions["layers"].items()
         },
     }
@@ -895,12 +894,14 @@ def _reuse_recorded_decisions(
     respawn, a second executor — is therefore deterministic per host and
     pays no timing runs.
     """
+    layers = {}
     for key, step in zip(keys, tuned_steps):
         conv_plan = getattr(step.plan, "conv_plan", step.plan)
-        pick = recorded["layers"][key]
-        conv_plan.tap_gather = pick["tap_gather"]
-        conv_plan.encoder = pick["encoder"]
+        # Older artifact headers also record an "encoder" pick; the encoder
+        # now follows from the plan's geometry, so that key is ignored.
+        conv_plan.tap_gather = recorded["layers"][key]["tap_gather"]
         conv_plan._autotuned = True
+        layers[key] = {"tap_gather": conv_plan.tap_gather, "encoder": conv_plan.encoder}
     cpus = os.cpu_count() or 1
     default_shards = 1 if cpus < 2 else min(cpus, 8)
     if tune_shards:
@@ -909,7 +910,7 @@ def _reuse_recorded_decisions(
         chosen = fixed_shards if fixed_shards is not None else default_shards
         shards = {"chosen": int(chosen), "basis": "fixed"}
     return {
-        "layers": {key: dict(recorded["layers"][key]) for key in keys},
+        "layers": layers,
         "layers_tuned": len(keys),
         "trials": 0,
         "reused": True,
@@ -932,11 +933,9 @@ def autotune_schedule(
 ) -> Dict[str, Any]:
     """Empirically tune the bound schedule's kernel plans (the ``O3`` pass).
 
-    For every bit-serial step, micro-benchmarks the candidate kernel
-    specializations — stage-2 tap-gather schedule (``fused`` wide gather vs
-    ``per_tap`` narrow cache-hot gather, hoisted convolutions only) and
-    address encoder (``packbits`` bit transpose vs the ``bitmul`` uint64
-    mask-multiply, full 8-channel groups only) — on synthetic in-range
+    For every bit-serial step, micro-benchmarks the candidate stage-2
+    tap-gather schedules (``fused`` wide gather vs ``per_tap`` narrow
+    cache-hot gather, hoisted convolutions only) on synthetic in-range
     activations, applies each layer's winner to its (executor-private) plan,
     and marks the plan tuned so the heuristic specialization pass leaves it
     alone.  Then sweeps micro-batch tile candidates around ``default_tile``
@@ -973,45 +972,34 @@ def autotune_schedule(
         conv_plan = getattr(plan, "conv_plan", plan)
         op = step.op
         x = _synthetic_input(op, conv_plan, bench_n, rng)
-        encoders = ["packbits"]
-        if (
-            conv_plan.group_size == 8
-            and conv_plan.act_bitwidth <= 8
-            and sys.byteorder == "little"
-        ):
-            encoders.append("bitmul")
         gathers = ["fused", "per_tap"] if conv_plan.hoist_padding else [conv_plan.tap_gather]
         timings: Dict[str, float] = {}
         baseline = None
         best = None
         for gather in gathers:
-            for encoder in encoders:
-                conv_plan.tap_gather = gather
-                conv_plan.encoder = encoder
-                scratch: dict = {}
-                call = lambda: plan(  # noqa: E731 - tight benchmark closure
-                    x, active_bits=active_bits, validated=True, scratch=scratch
-                )
-                out = call()  # warm-up (allocates scratch, caches borders)
-                # The invariant autotuning rests on: every candidate is
-                # bitwise identical.  Check it right here, per layer.
-                if baseline is None:
-                    baseline = np.array(out, copy=True)
-                else:
-                    np.testing.assert_array_equal(out, baseline)
-                elapsed = _time_call(call, reps)
-                label = f"{gather}/{encoder}" if len(gathers) > 1 else encoder
-                timings[label] = elapsed
-                decisions["trials"] += 1 + reps
-                if best is None or elapsed < best[0]:
-                    best = (elapsed, gather, encoder)
+            conv_plan.tap_gather = gather
+            scratch: dict = {}
+            call = lambda: plan(  # noqa: E731 - tight benchmark closure
+                x, active_bits=active_bits, validated=True, scratch=scratch
+            )
+            out = call()  # warm-up (allocates scratch, caches borders)
+            # The invariant autotuning rests on: every candidate is
+            # bitwise identical.  Check it right here, per layer.
+            if baseline is None:
+                baseline = np.array(out, copy=True)
+            else:
+                np.testing.assert_array_equal(out, baseline)
+            elapsed = _time_call(call, reps)
+            timings[gather] = elapsed
+            decisions["trials"] += 1 + reps
+            if best is None or elapsed < best[0]:
+                best = (elapsed, gather)
         conv_plan.tap_gather = best[1]
-        conv_plan.encoder = best[2]
         conv_plan._autotuned = True
         decisions["layers"][keys[index]] = {
             "kind": op.kind,
             "tap_gather": best[1],
-            "encoder": best[2],
+            "encoder": conv_plan.encoder,
             "candidate_ms": {k: round(v * 1e3, 4) for k, v in timings.items()},
         }
         step_costs.append((best[0], step, x))

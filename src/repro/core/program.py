@@ -18,8 +18,7 @@ optimizes it with graph-level passes, and runs it through a batched
 ``pool``            max / avg / global-avg pooling
 ``flatten``, ``add``, ``conv``, ``linear``  float glue and uncompressed layers
 
-Optimization passes (things the per-layer engine of PR 1 structurally could
-not do, because each layer only ever saw its own inputs) live in
+Optimization passes (rewrites that need more than one layer in view) live in
 :mod:`repro.core.pipeline` as *registered passes* run by a
 :class:`~repro.core.pipeline.PassManager` at an ordered optimization level
 (``O0`` reference lowering … ``O3`` autotuned); :func:`compile_network`
@@ -31,19 +30,21 @@ Backends (``Executor(program, backend=...)``):
 
 * ``"plan"`` — compiled :mod:`repro.core.kernel_plan` kernels with the fused
   epilogue; the fast path.
-* ``"reference"`` — the original tap-loop kernels with the explicit legacy
-  epilogue association; the bit-exact oracle.
+* ``"reference"`` — the tap-loop kernels of :mod:`repro.core.bitserial` with
+  the explicit epilogue association.  ``Executor(compile_network(...,
+  level="O0"), backend="reference")`` is the oracle every other level and
+  backend is tested against.
 * ``"cost"`` — registered by :mod:`repro.mcu.executor`: replays the program
   through the MCU cycle model instead of computing activations.
 
-Numerics: an *unoptimized* program on the ``plan`` backend executes the exact
-same compiled plans, in the exact same float association, as the per-layer
-engine — bit-exact.  The optimization passes change only the float
-association of the epilogue (BatchNorm scale folded into ``α``, the next
-scale's reciprocal folded before rounding); integer-domain relu/max-pool are
-exactly equivalent, so optimized outputs match the legacy path to float
-rounding (~1e-12 relative), with a vanishing chance of single-LSB
-requantization flips at rounding boundaries.
+Numerics: the raw bit-serial kernels of both backends are bit-exact with a
+full-precision LUT.  The plan backend fuses the epilogue into ``α·acc + β``
+and the optimization passes change only the float association of that
+epilogue (BatchNorm scale folded into ``α``, the next scale's reciprocal
+folded before rounding); integer-domain relu/max-pool are exactly
+equivalent, so every level matches the oracle to float rounding (~1e-12
+relative), with a vanishing chance of single-LSB requantization flips at
+rounding boundaries.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from repro.core.pipeline import (
 from repro.core.tracing import LayerTrace
 from repro.nn import Module
 from repro.nn import functional as F
+from repro.nn.training.trainer import evaluate_predictions
 from repro.quantization.quantizer import QuantParams
 
 
@@ -489,12 +491,12 @@ def compile_network(
     lut: Optional[LookupTable] = None,
     activation_params: Optional[Dict[int, QuantParams]] = None,
     act_bitwidth: int = 8,
-    optimize: bool = True,
-    level: Optional[str] = None,
+    level: str = "O2",
     passes: Optional[List[str]] = None,
     debug: Optional[bool] = None,
 ) -> NetworkProgram:
-    """Lower ``model`` to a :class:`NetworkProgram` for a ``(C, H, W)`` input.
+    """Lower ``model`` to a :class:`NetworkProgram` for a ``(C, H, W)`` or
+    ``(F,)`` input.
 
     With ``lut`` and ``activation_params`` (from a calibrated engine) the
     program is *bound* — executable through :class:`Executor`.  Without them
@@ -504,8 +506,7 @@ def compile_network(
     The optimization pipeline is driven by the
     :class:`~repro.core.pipeline.PassManager`: ``level`` picks one of the
     ordered optimization levels (:data:`~repro.core.pipeline.OPT_LEVELS`,
-    ``O0``–``O3``); the legacy ``optimize`` flag maps to ``O2``/``O0`` when
-    no level is given.  ``passes`` optionally restricts the graph stage to
+    ``O0``–``O4``).  ``passes`` optionally restricts the graph stage to
     an explicit pass selection.  Unknown level or pass names raise
     :class:`ValueError` listing the valid choices — misconfiguration fails
     at compile time instead of silently falling through to defaults.  Graph
@@ -515,8 +516,6 @@ def compile_network(
     """
     if (lut is None) != (activation_params is None):
         raise ValueError("lut and activation_params must be provided together")
-    if level is None:
-        level = "O2" if optimize else "O0"
     manager = PassManager(level=level, passes=passes, debug=debug)
     graph = lower_model(model, input_shape)
     ops, output_id, num_buffers = _type_graph(graph, lut, activation_params)
@@ -535,38 +534,8 @@ def compile_network(
 
 
 # ---------------------------------------------------------------------------
-# Execution: buffer pool + backends
+# Execution: backends
 # ---------------------------------------------------------------------------
-class _BufferPool:
-    """Free-list of released activation buffers, keyed by (shape, dtype).
-
-    The executor returns dead intermediate buffers here and elementwise ops
-    take their outputs from it, so steady-state batch execution allocates
-    (almost) nothing after the first batch of each shape.  Each free list is
-    capped: ops that allocate their own outputs (kernels, pools) release a
-    buffer per run without ever taking one back, and an uncapped list would
-    grow by that buffer every batch for the life of the executor.
-    """
-
-    _MAX_FREE_PER_KEY = 4
-
-    def __init__(self) -> None:
-        self._free: Dict[Tuple, List[np.ndarray]] = {}
-
-    def take(self, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
-        stack = self._free.get((tuple(shape), np.dtype(dtype).str))
-        return stack.pop() if stack else None
-
-    def take_like(self, array: np.ndarray) -> np.ndarray:
-        out = self.take(array.shape, array.dtype)
-        return out if out is not None else np.empty_like(array)
-
-    def give(self, array: np.ndarray) -> None:
-        stack = self._free.setdefault((array.shape, array.dtype.str), [])
-        if len(stack) < self._MAX_FREE_PER_KEY:
-            stack.append(array)
-
-
 @dataclass
 class Step:
     """One bound executable step of a backend schedule.
@@ -581,7 +550,6 @@ class Step:
     fn: Callable[..., np.ndarray]
     inputs: Tuple[int, ...]
     output: int
-    view: bool = False  # output may alias the input (reshape); don't pool it
     op: Optional[ProgramOp] = None
     plan: Optional[object] = None
     validated: bool = False
@@ -641,18 +609,12 @@ def _compile_op_plan(program: NetworkProgram, op: ProgramOp, epilogue: ProgramOp
     """Compile the kernel plan executing ``op`` fused with its epilogue.
 
     Optimized programs additionally compile convolutions with the padding
-    hoist (border work replaced by compile-time constants); unoptimized
-    programs use the exact per-layer-engine compile path so the plan backend
-    stays bit-exact with the legacy runtime.
+    hoist (border work replaced by compile-time constants).
     """
     params: QuantParams = op.attrs["params"]
     indices = op.attrs["indices"]
     hoist = program.optimized
     simple = epilogue.kind == "dequantize" and epilogue.attrs.get("bn") is None
-    # For the simple epilogue this is the exact compile path (same arguments,
-    # same float association) as the per-layer engine, so unoptimized programs
-    # stay bit-exact with the legacy plan runtime; optimized programs add only
-    # the padding hoist (documented float-order tolerance).
     if op.kind == "bitserial_conv":
         plan = compile_conv_plan(
             indices,
@@ -689,7 +651,7 @@ def _compile_op_plan(program: NetworkProgram, op: ProgramOp, epilogue: ProgramOp
     return plan
 
 
-def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
+def _exec_generic(op: ProgramOp, program: NetworkProgram,
                   active_bits: Optional[int] = None) -> Callable:
     """Executor for every op kind shared between the plan/reference backends."""
     kind = op.kind
@@ -723,7 +685,7 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
         clip = (attrs.get("clip_lo"), attrs.get("clip_hi"))
 
         def fn(raw):
-            # Legacy float association: the reference oracle's epilogue.
+            # The reference oracle's explicit float association.
             out = params.scale * (raw - params.zero_point * w_sums.reshape(shape))
             if bias is not None:
                 out = out + np.asarray(bias).reshape(shape[1:] if len(shape) == 2 else shape)
@@ -744,9 +706,7 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
         beta = attrs["beta"].reshape(1, -1, 1, 1)
 
         def fn(x):
-            out = pool.take(x.shape, x.dtype)
-            if out is None:
-                out = np.empty_like(x)
+            out = np.empty_like(x)
             # Same association as BatchNorm2d.forward in eval mode.
             np.subtract(x, mean, out=out)
             np.multiply(out, inv_std, out=out)
@@ -757,18 +717,8 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
         return fn
     if kind == "activation":
         if attrs["fn"] == "relu6":
-            def fn(x):
-                out = pool.take(x.shape, x.dtype)
-                return np.clip(x, 0.0, 6.0, out=out) if out is not None else np.clip(x, 0.0, 6.0)
-            return fn
-
-        def fn(x):
-            out = pool.take(x.shape, x.dtype)
-            if out is None:
-                return np.maximum(x, x.dtype.type(0))
-            return np.maximum(x, x.dtype.type(0), out=out)
-
-        return fn
+            return lambda x: np.clip(x, 0.0, 6.0)
+        return lambda x: np.maximum(x, x.dtype.type(0))
     if kind == "pool":
         variant = attrs["pool"]
         if variant == "global_avg":
@@ -784,13 +734,7 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
     if kind == "flatten":
         return lambda x: x.reshape(x.shape[0], -1)
     if kind == "add":
-        def fn(x, y):
-            out = pool.take(x.shape, x.dtype)
-            if out is None:
-                return x + y
-            return np.add(x, y, out=out)
-
-        return fn
+        return lambda x, y: x + y
     if kind == "conv":
         weight, bias = attrs["weight"], attrs["bias"]
         stride, padding, groups = attrs["stride"], attrs["padding"], attrs["groups"]
@@ -881,16 +825,15 @@ def _bind_plan(program: NetworkProgram, executor: "Executor",
         else:
             steps.append(
                 Step(
-                    fn=_exec_generic(op, program, executor.pool, active_bits),
+                    fn=_exec_generic(op, program, active_bits),
                     inputs=op.inputs,
                     output=op.output,
-                    view=op.kind == "flatten",
                     op=op,
                 )
             )
     # Auto-tile only optimized programs: micro-batching is per-sample exact
     # for every op we emit, but BLAS reorders the float convs' reductions
-    # with batch size, and the unoptimized program is the bit-exact oracle.
+    # with batch size, and O0 runs whole batches like the oracle.
     if executor.tile is None and peak_per_image and program.optimized:
         executor.tile = int(np.clip(_TILE_BUDGET_BYTES // peak_per_image, 1, 64))
     return steps
@@ -902,10 +845,9 @@ def _bind_reference(program: NetworkProgram, executor: "Executor",
     _require_bound(program)
     return [
         Step(
-            fn=_exec_generic(op, program, executor.pool, active_bits),
+            fn=_exec_generic(op, program, active_bits),
             inputs=op.inputs,
             output=op.output,
-            view=op.kind == "flatten",
             op=op,
         )
         for op in program.ops
@@ -980,35 +922,29 @@ def _default_shard_count() -> int:
 class Executor:
     """Runs a bound :class:`NetworkProgram` batch-wise through a backend.
 
-    Optimized plan-backend programs execute through an **ahead-of-time
-    execution plan** (:mod:`repro.core.memory_plan`): elementwise glue fused
-    into single steps, every intermediate placed at a fixed offset of a
-    preallocated arena, and large batches split across a pool of per-shard
-    arenas on worker threads (NumPy releases the GIL in the hot kernels;
-    single-core machines stay serial).  ``run`` is thread-safe on this path —
-    concurrent callers share the shard pool.
+    ``O2`` and higher programs on the ``plan``/``native`` backends execute
+    through an **ahead-of-time execution plan** (:mod:`repro.core.memory_plan`):
+    elementwise glue fused into single steps, every intermediate placed at a
+    fixed offset of a preallocated arena, and large batches split across a
+    pool of per-shard arenas on worker threads (NumPy releases the GIL in the
+    hot kernels; single-core machines stay serial).  A planned executor runs
+    batches of exactly ``program.input_shape`` samples.
 
-    The refcounted, shape-keyed buffer pool remains the fallback — and the
-    path for unoptimized/reference programs, whose bit-exactness contract
-    against the per-layer engine predates the planner.
+    Everything else — ``O0``/``O1`` programs, the ``reference`` and ``cost``
+    backends — runs through a plain step interpreter that allocates every
+    step's output.  No executor keeps mutable state between runs (shard
+    arenas are checked out per run; kernel-plan caches only ever store
+    identical constants), so ``run`` is safe to call from several threads.
 
     Parameters
     ----------
     tile:
         Micro-batch size; ``None`` lets the backend choose (the plan backend
         sizes it so the largest layer's stage-1 working set stays
-        cache-resident), 0 disables tiling on the pooled path.
+        cache-resident), 0 disables tiling in the interpreter.
     n_shards:
         Worker arenas for the planned path; ``None`` picks one per core
         (capped at 8, 1 on single-core machines).
-    memory_plan:
-        Force the ahead-of-time plan on (raises
-        :class:`~repro.core.memory_plan.PlanUnsupported` when the program
-        cannot be planned) or off (always pool).  Defaults to planning
-        exactly the optimized plan-backend programs.
-    track_memory:
-        Record ``peak_pool_bytes`` (live buffers + pool free lists) while
-        running on the pooled path — benchmark instrumentation.
     """
 
     def __init__(
@@ -1017,8 +953,6 @@ class Executor:
         backend: str = "plan",
         tile: Optional[int] = None,
         n_shards: Optional[int] = None,
-        memory_plan: Optional[bool] = None,
-        track_memory: bool = False,
         **options,
     ):
         if backend not in BACKENDS:
@@ -1027,7 +961,6 @@ class Executor:
             raise KeyError(f"unknown backend '{backend}'; registered: {known}{hint}")
         self.program = program
         self.backend = backend
-        self.pool = _BufferPool()
         # Batch tile: incoming batches are split into micro-batches of this
         # size and run through the whole program tile-by-tile, keeping the
         # inter-layer working set cache-resident.  Ops treat samples
@@ -1036,22 +969,12 @@ class Executor:
         # footprint); pass 0 to disable.
         requested_tile = tile  # None = tunable by the O3 autotuner
         self.tile = tile
-        self.track_memory = track_memory
-        self.peak_pool_bytes = 0
         self._steps = BACKENDS[backend](program, self, **options)
-        self._refcounts: Dict[int, int] = {}
+        # Reader counts: the interpreter drops each buffer after its last read.
+        self._refcounts: Dict[int, int] = {program.output_id: 1}
         for step in self._steps:
             for buf in step.inputs:
                 self._refcounts[buf] = self._refcounts.get(buf, 0) + 1
-        self._refcounts[program.output_id] = (
-            self._refcounts.get(program.output_id, 0) + 1
-        )
-        # Never recycle the caller's input, nor buffers a reshape view borrows.
-        self._no_pool = {program.input_id}
-        for step in self._steps:
-            if step.view:
-                self._no_pool.update(step.inputs)
-                self._no_pool.add(step.output)
 
         # -- ahead-of-time execution plan (arena + fused steps + shards) ----
         # The schedule ("memory_plan") and tune ("autotune") pipeline stages
@@ -1059,14 +982,12 @@ class Executor:
         # arena plan, O3 additionally autotunes kernel variants and the
         # tile/shard choices before planning.
         level = program.effective_opt_level
-        explicit_plan = memory_plan is True
-        if memory_plan is None:
-            memory_plan = (
-                backend in ("plan", "native")
-                and program.bound
-                and program.optimized
-                and level_enables(level, "O2")
-            )
+        planned = (
+            backend in ("plan", "native")
+            and program.bound
+            and program.optimized
+            and level_enables(level, "O2")
+        )
         self.exec_plan = None
         self._native = None  # NativeExecution after a successful O4 bind
         self.plan_info: Optional[Dict[str, Any]] = None
@@ -1075,18 +996,11 @@ class Executor:
         self._shard_threads = None
         self._shard_lock = threading.Lock()
         self.max_shards_used = 0
-        if memory_plan:
+        if planned:
             from repro.core.memory_plan import PlanUnsupported, compile_execution_plan
 
             plan_tile = self.tile if self.tile else 64
-            requested_shards = n_shards
-            bound_tile = self.tile  # the backend's heuristic (or caller) tile
-            if (
-                backend in ("plan", "native")
-                and program.bound
-                and program.optimized
-                and level_enables(level, "O3")
-            ):
+            if level_enables(level, "O3"):
                 # A previous bind's recorded winners (this session or a
                 # loaded artifact's header) replay deterministically with no
                 # timing runs; only a first-ever bind micro-benchmarks.
@@ -1112,28 +1026,9 @@ class Executor:
                     active_bits=options.get("active_bits"),
                 )
             except PlanUnsupported:
-                # Auto-selected planning falls back to the buffer pool; an
-                # explicit request surfaces why the program cannot be
-                # planned.  The pooled fallback keeps PR 2's execution, so
-                # every tuned decision rolls back: the tile/shard choices,
-                # and the kernel-plan specializations the tuner already
-                # applied in place (bitwise-identical either way, but the
-                # pooled path is the A/B baseline and must stay canonical).
-                if explicit_plan:
-                    raise
-                if self.autotune is not None:
-                    for step in self._steps:
-                        plan = getattr(step, "plan", None)
-                        if plan is None:
-                            continue
-                        conv_plan = getattr(plan, "conv_plan", plan)
-                        if getattr(conv_plan, "_autotuned", False):
-                            conv_plan.tap_gather = "fused"
-                            conv_plan.encoder = "packbits"
-                            conv_plan._autotuned = False
-                self.autotune = None
-                self.tile = bound_tile
-                n_shards = requested_shards
+                # The interpreter runs the program instead; tuned kernel
+                # variants are bitwise-identical there too.
+                pass
             else:
                 # Record the schedule/tune stages only once they are live.
                 if self.autotune is not None:
@@ -1244,11 +1139,6 @@ class Executor:
             stacklevel=3,
         )
 
-    @property
-    def thread_safe(self) -> bool:
-        """True when concurrent ``run`` calls are safe (planned path only)."""
-        return self.exec_plan is not None
-
     def close(self) -> None:
         """Shut down the shard worker threads (idempotent; runs still work
         serially afterwards on a fresh pool if called again)."""
@@ -1262,10 +1152,18 @@ class Executor:
 
         The planned path writes every shard's result into one preallocated
         output slice, so assembly is deterministic and the result is
-        bitwise identical to a serial run.
+        bitwise identical to a serial run.  Its arena is laid out for
+        ``program.input_shape`` samples; any other sample shape raises
+        :class:`ValueError`.
         """
         x = np.asarray(x)
-        if self.exec_plan is not None and x.ndim == len(self.program.input_shape) + 1:
+        if self.exec_plan is not None:
+            if tuple(x.shape[1:]) != tuple(self.program.input_shape):
+                raise ValueError(
+                    f"input samples of shape {tuple(x.shape[1:])} do not match "
+                    f"the planned program's input shape "
+                    f"{tuple(self.program.input_shape)}"
+                )
             return self._run_planned(x)
         if self.tile and x.shape[0] > self.tile:
             return np.concatenate(
@@ -1274,23 +1172,15 @@ class Executor:
         return self._run_tile(x)
 
     def _run_tile(self, x: np.ndarray) -> np.ndarray:
-        buffers: Dict[int, np.ndarray] = {self.program.input_id: np.asarray(x)}
+        """Interpret the step schedule on one micro-batch."""
+        buffers: Dict[int, np.ndarray] = {self.program.input_id: x}
         remaining = dict(self._refcounts)
         for step in self._steps:
-            args = [buffers[buf] for buf in step.inputs]
-            buffers[step.output] = step.fn(*args)
+            buffers[step.output] = step.fn(*[buffers[buf] for buf in step.inputs])
             for buf in step.inputs:
                 remaining[buf] -= 1
                 if remaining[buf] == 0:
-                    dead = buffers.pop(buf)
-                    if buf not in self._no_pool:
-                        self.pool.give(dead)
-            if self.track_memory:
-                live = sum(arr.nbytes for arr in buffers.values())
-                pooled = sum(
-                    arr.nbytes for stack in self.pool._free.values() for arr in stack
-                )
-                self.peak_pool_bytes = max(self.peak_pool_bytes, live + pooled)
+                    del buffers[buf]
         return buffers[self.program.output_id]
 
     # -- planned execution ---------------------------------------------------
@@ -1388,12 +1278,4 @@ class Executor:
 
     def evaluate(self, loader) -> float:
         """Top-1 accuracy over a data loader."""
-        correct = 0
-        total = 0
-        for inputs, targets in loader:
-            logits = self.run(inputs)
-            correct += int((logits.argmax(axis=1) == targets).sum())
-            total += len(targets)
-        if total == 0:
-            raise ValueError("evaluation loader produced no samples")
-        return correct / total
+        return evaluate_predictions(self.run, loader)

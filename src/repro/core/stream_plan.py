@@ -70,7 +70,6 @@ refresh (which also keeps their persistent state warm).
 from __future__ import annotations
 
 import copy
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -505,9 +504,6 @@ class StreamPlan:
         self.crossover = float(crossover)
         self.record = record
         self.input_shape = tuple(program.input_shape)
-        # Pooled (unoptimized) executors recycle buffers through an unlocked
-        # free list; full-step fns must not race it across sessions.
-        self._full_lock = threading.Lock() if executor.exec_plan is None else None
 
     # -- bookkeeping ---------------------------------------------------------
     @property
@@ -522,24 +518,17 @@ class StreamPlan:
     def run_full(self, bufs: Dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
         """Execute the whole bound schedule into ``bufs`` (persistent state).
 
-        Same step fns in the same order as the executor's pooled path, so
+        Same step fns in the same order as the executor's interpreter, so
         the result is bitwise identical to :meth:`Executor.run` — asserted
         at compile time by :func:`compile_stream_plan`.
         """
-        lock = self._full_lock
-        if lock is not None:
-            lock.acquire()
-        try:
-            # An owned copy: sessions patch the dirty region of this buffer
-            # in place on later frames, so it must never alias caller memory.
-            bufs[self.program.input_id] = np.array(x, dtype=np.float64)
-            for bound in self.steps:
-                step = bound.step
-                bufs[step.output] = step.fn(*[bufs[b] for b in step.inputs])
-            return bufs[self.program.output_id]
-        finally:
-            if lock is not None:
-                lock.release()
+        # An owned copy: sessions patch the dirty region of this buffer in
+        # place on later frames, so it must never alias caller memory.
+        bufs[self.program.input_id] = np.array(x, dtype=np.float64)
+        for bound in self.steps:
+            step = bound.step
+            bufs[step.output] = step.fn(*[bufs[b] for b in step.inputs])
+        return bufs[self.program.output_id]
 
 
 class StreamSession:
@@ -818,10 +807,6 @@ def compile_stream_plan(
     base = rng.standard_normal((1,) + tuple(program.input_shape))
     if verify:
         _verify_bitwise(plan, base, rng, record)
-    # The compile-time oracle runs above may have parked buffers in the
-    # pooled executor's free list; drop them so concurrent sessions never
-    # race the (unlocked) pool at runtime.
-    executor.pool._free.clear()
 
     if crossover is not None:
         if not (0.0 < crossover <= 1.0):
@@ -874,16 +859,16 @@ def _verify_bitwise(plan: StreamPlan, base: np.ndarray, rng, record) -> None:
     # A border-touching, tile-unaligned region exercises halo padding.
     region = (0, min(h, max(1, t + t // 2)), 0, min(w, max(1, t + t // 2)))
     frame = _perturb(base, region, rng)
-    # The full streaming refresh must match the executor end to end (pooled
-    # and planned paths are bitwise identical by the repo's standing
-    # contract; this assert keeps the streaming path honest about it).
+    # The full streaming refresh must match the executor end to end (the
+    # interpreter and the planned path are bitwise identical by the repo's
+    # standing contract; this assert keeps the streaming path honest about it).
     expected = plan.executor.run(frame)
     reference: Dict[int, np.ndarray] = {}
     plan.run_full(reference, frame)
     if not np.array_equal(reference[plan.program.output_id], expected):
         raise StreamUnsupported(
             "full streaming refresh deviates from the executor oracle"
-        )  # pragma: no cover - pooled/planned bitwise identity is a repo invariant
+        )  # pragma: no cover - interpreter/planned bitwise identity is a repo invariant
     for _ in range(len(plan.steps) + 1):
         session = plan.session(threshold=0.0)
         session.process(base[0])

@@ -118,20 +118,22 @@ def build_source_bundle(program, active_bits=None) -> SourceBundle:
     chains, kernel plans), then emits *every* step in standalone mode.
     Raises :class:`~repro.core.codegen.CodegenUnsupported` when some op has
     no C lowering, and :class:`~repro.core.memory_plan.PlanUnsupported` when
-    the program cannot be planned (it must be compiled at O2 or higher).
+    the program cannot be planned (it must be bound and compiled at O2 or
+    higher).
     """
     from repro.core.codegen import CodegenUnsupported, emit_native
+    from repro.core.memory_plan import PlanUnsupported
     from repro.core.program import Executor
 
     executor = Executor(
-        program,
-        backend="plan",
-        tile=1,
-        n_shards=1,
-        memory_plan=True,
-        active_bits=active_bits,
+        program, backend="plan", tile=1, n_shards=1, active_bits=active_bits
     )
     plan = executor.exec_plan
+    if plan is None:
+        raise PlanUnsupported(
+            f"a source bundle needs an ahead-of-time plan; this "
+            f"{program.effective_opt_level} program has none (compile at O2 or higher)"
+        )
     if np.dtype(plan.out_dtype) != np.float64:
         raise CodegenUnsupported(
             f"standalone entry emits double output; program produces {plan.out_dtype}"

@@ -149,7 +149,7 @@ class Module:
         id holding this module's input.  Implementations call ``builder.add``
         for primitive ops and ``builder.lower`` for children, and return the
         buffer id of their output.  Modules without a hook cannot take part in
-        whole-network compilation (callers fall back to eager execution).
+        whole-network compilation.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement lower_into(); "

@@ -131,15 +131,20 @@ class Trainer:
         return correct / total
 
 
-def evaluate_model(model: Module, loader: DataLoader) -> float:
-    """Convenience wrapper: accuracy of ``model`` over ``loader`` in eval mode."""
-    model.eval()
+def evaluate_predictions(predict: Callable[[np.ndarray], np.ndarray], loader) -> float:
+    """Top-1 accuracy of the logits ``predict(inputs)`` over ``loader``."""
     correct = 0
     total = 0
     for inputs, targets in loader:
-        logits = model(inputs)
+        logits = predict(inputs)
         correct += int((logits.argmax(axis=1) == targets).sum())
         total += len(targets)
     if total == 0:
         raise ValueError("evaluation loader produced no samples")
     return correct / total
+
+
+def evaluate_model(model: Module, loader: DataLoader) -> float:
+    """Convenience wrapper: accuracy of ``model`` over ``loader`` in eval mode."""
+    model.eval()
+    return evaluate_predictions(model, loader)

@@ -60,20 +60,11 @@ from repro.serve.repository import ModelNotFound, ModelRepository
 
 
 class _CachedExecutor:
-    """One executor for a (model, version), shared or lock-serialized."""
+    """One executor for a (model, version), shared by every connection."""
 
     def __init__(self, executor: Executor, frame_bound: int):
         self.executor = executor
         self.frame_bound = frame_bound
-        self.lock: Optional[threading.Lock] = (
-            None if getattr(executor, "thread_safe", False) else threading.Lock()
-        )
-
-    def run(self, batch: np.ndarray) -> np.ndarray:
-        if self.lock is not None:
-            with self.lock:
-                return self.executor.run(batch)
-        return self.executor.run(batch)
 
 
 class ReplicaNode:
@@ -254,7 +245,7 @@ class ReplicaNode:
                 ), "retriable": False},
                 None,
             )
-        outputs = entry.run(batch)
+        outputs = entry.executor.run(batch)
         self.served_batches += 1
         return (
             "result",

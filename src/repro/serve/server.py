@@ -133,42 +133,19 @@ class _Pipeline:
                 fault_plan=server.fault_plan,
             )
         else:
-            # One shared, internally-sharded executor when the program plans
-            # ahead of time (its run() is thread-safe: worker threads check
-            # shard arenas out of the executor's pool); otherwise each worker
-            # thread builds its own executor — buffer-pooled executors are
-            # single-threaded objects (plan caches, buffer pools).
+            # One shared executor for every worker thread: executors keep no
+            # mutable state between runs (planned ones check shard arenas
+            # out per run), so concurrent run() calls are safe.
             # O4 artifacts route to the native backend (rebuilt — or
             # cache-loaded — deterministically from the artifact's persisted
             # source); the executor downgrades to ``plan`` with a surfaced
             # fallback_reason when the host cannot build it.
-            backend = auto_backend(server.backend, program)
-            probe = Executor(program, backend=backend)
-            if probe.thread_safe:
-                self.pool = ThreadWorkerPool(
-                    lambda: probe,
-                    num_workers=server.workers,
-                    name=f"serve-{name}-v{version}",
-                    shared=True,
-                    fault_plan=server.fault_plan,
-                )
-            else:
-                # Per-worker executors; the probe is not wasted — the first
-                # worker to ask adopts it instead of binding a second time.
-                spare = [probe]
-
-                def factory():
-                    try:
-                        return spare.pop()
-                    except IndexError:
-                        return Executor(program, backend=backend)
-
-                self.pool = ThreadWorkerPool(
-                    factory,
-                    num_workers=server.workers,
-                    name=f"serve-{name}-v{version}",
-                    fault_plan=server.fault_plan,
-                )
+            self.pool = ThreadWorkerPool(
+                Executor(program, backend=auto_backend(server.backend, program)),
+                num_workers=server.workers,
+                name=f"serve-{name}-v{version}",
+                fault_plan=server.fault_plan,
+            )
         # Batches reach the pool through the resilient dispatcher: bounded
         # retry on worker crashes, gated by the breaker.  With both disabled
         # the pool's submit is used directly (identical fast path).
@@ -284,7 +261,7 @@ class _Pipeline:
         :meth:`repro.core.program.NetworkProgram.metadata`, so bench records
         and the ``/stats`` endpoint agree.
         """
-        executor = getattr(self.pool, "shared_executor", None)
+        executor = getattr(self.pool, "executor", None)
         if executor is not None and getattr(executor, "plan_info", None):
             info = dict(executor.plan_info)
             info["max_shards_used"] = int(getattr(executor, "max_shards_used", 0))

@@ -3,16 +3,13 @@
 Two interchangeable pools sit behind the dynamic batcher; both expose
 ``submit(batch) -> Future`` and ``close()``:
 
-* :class:`ThreadWorkerPool` — N threads.  With ``shared=True`` (what the
-  server uses for planned executors) the factory builds **one**
-  :class:`~repro.core.program.Executor` whose shard pool all worker threads
-  share: each concurrently-submitted batch checks out whatever shard
-  arenas are idle, so a single large batch can still fan out across cores
-  while concurrent batches divide the pool between them.  Without sharing
-  (the default, and the fallback for non-thread-safe executors) each worker
-  owns its own executor built by the factory — buffer-pooled executors are
-  single-threaded objects.  NumPy releases the GIL inside the hot kernels,
-  so threads overlap real work either way.
+* :class:`ThreadWorkerPool` — N threads sharing **one**
+  :class:`~repro.core.program.Executor` (no executor keeps state between
+  runs): on planned executors each concurrently-submitted batch checks out
+  whatever shard arenas are idle, so a single large batch can still fan
+  out across cores while concurrent batches divide the pool between them.
+  NumPy releases the GIL inside the hot kernels, so threads overlap real
+  work.
 * :class:`ProcessWorkerPool` — N OS processes, each loading the compiled
   program artifact from disk (:func:`repro.core.export.load_program`) and
   building its own executor with any registered backend.  Batches and
@@ -41,7 +38,7 @@ import traceback
 from concurrent.futures import Future
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -100,20 +97,15 @@ def artifact_slot_bytes(
 
 
 class ThreadWorkerPool:
-    """N worker threads running batches on per-worker or one shared executor.
+    """N worker threads running batches on one shared executor.
 
-    By default ``executor_factory`` is called once per worker, inside the
-    worker thread, so pool construction is cheap and per-worker state
-    (compiled plans, buffer pools) is never shared.  With ``shared=True``
-    the factory is called once, in the constructor, and every worker runs
-    batches on the same executor — sound only for thread-safe executors
-    (planned executors whose ``run`` checks shard arenas out of a pool); a
-    shared executor without ``thread_safe=True`` is serialized behind a
-    lock so misconfiguration degrades to correct-but-serial.
+    Every worker calls ``executor.run`` concurrently, which every
+    :class:`~repro.core.program.Executor` allows; the pool closes the
+    executor (when it has a ``close``) on shutdown.
     """
 
-    def __init__(self, executor_factory: Callable[[], object], num_workers: int = 1,
-                 name: str = "worker", shared: bool = False, fault_plan=None):
+    def __init__(self, executor, num_workers: int = 1, name: str = "worker",
+                 fault_plan=None):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.fault_plan = fault_plan
@@ -126,26 +118,17 @@ class ThreadWorkerPool:
         # a batch decrements this (threads pull from one shared queue, so a
         # specific victim thread cannot be targeted the way a process can).
         self._scale_crash_pending = 0
-        self._factory = executor_factory
+        self.executor = executor
         self._name = name
         self._tasks: "queue.Queue" = queue.Queue()
         self._closed = False
         # Orders submit() against close(): nothing can land behind the stop
         # sentinels, so every accepted task is drained before shutdown.
         self._submit_lock = threading.Lock()
-        self.shared_executor = None
-        self._shared_run_lock: Optional[threading.Lock] = None
-        if shared:
-            self.shared_executor = executor_factory()
-            if not getattr(self.shared_executor, "thread_safe", False):
-                self._shared_run_lock = threading.Lock()
         self._target_workers = num_workers
         self._next_index = num_workers
         self._threads = [
-            threading.Thread(
-                target=self._run, args=(executor_factory, i),
-                name=f"{name}-{i}", daemon=True,
-            )
+            threading.Thread(target=self._run, args=(i,), name=f"{name}-{i}", daemon=True)
             for i in range(num_workers)
         ]
         for thread in self._threads:
@@ -176,7 +159,7 @@ class ThreadWorkerPool:
                     index = self._next_index
                     self._next_index += 1
                     thread = threading.Thread(
-                        target=self._run, args=(self._factory, index),
+                        target=self._run, args=(index,),
                         name=f"{self._name}-{index}", daemon=True,
                     )
                     self._threads.append(thread)
@@ -210,13 +193,11 @@ class ThreadWorkerPool:
                 self._tasks.put(None)
         for thread in self._threads:
             thread.join(timeout=timeout)
-        if self.shared_executor is not None:
-            close = getattr(self.shared_executor, "close", None)
-            if close is not None:
-                close()
+        close = getattr(self.executor, "close", None)
+        if close is not None:
+            close()
 
-    def _run(self, executor_factory, index: int = 0) -> None:
-        build_error = None
+    def _run(self, index: int = 0) -> None:
         # Thread workers never respawn, so the fault session is always the
         # slot's first (and only) incarnation.
         faults = (
@@ -224,14 +205,6 @@ class ThreadWorkerPool:
             if self.fault_plan is not None
             else None
         )
-        if self.shared_executor is not None:
-            executor = self.shared_executor
-        else:
-            try:
-                executor = executor_factory()
-            except Exception as exc:  # surface the build failure on every task
-                executor = None
-                build_error = exc
         while True:
             task = self._tasks.get()
             if task is None:
@@ -246,11 +219,6 @@ class ThreadWorkerPool:
                         pass
                 return
             batch, future = task
-            if executor is None:
-                future.set_exception(
-                    WorkerError(f"executor construction failed: {build_error}")
-                )
-                continue
             try:
                 if self._scale_crash_pending > 0:
                     with self._submit_lock:
@@ -272,12 +240,7 @@ class ThreadWorkerPool:
                                 f"injected crash on worker {index} "
                                 f"(batch {faults.batches})"
                             )
-                if self._shared_run_lock is not None:
-                    with self._shared_run_lock:
-                        result = executor.run(batch)
-                else:
-                    result = executor.run(batch)
-                future.set_result(result)
+                future.set_result(self.executor.run(batch))
             except Exception as exc:
                 future.set_exception(exc)
 

@@ -44,13 +44,16 @@ class TestBitSerialInferenceEngine:
         with pytest.raises(ValueError):
             BitSerialInferenceEngine(small_model, WeightPool(np.zeros((4, 8))))
 
-    def test_enter_requires_calibration(self, compressed_small_model):
+    @pytest.mark.parametrize("use_lut", [True, False])
+    def test_predict_requires_calibration(self, compressed_small_model, use_lut):
         engine = BitSerialInferenceEngine(
-            compressed_small_model.model, compressed_small_model.pool
+            compressed_small_model.model,
+            compressed_small_model.pool,
+            EngineConfig(use_lut=use_lut),
         )
-        with pytest.raises(RuntimeError):
-            with engine:
-                pass
+        with pytest.raises(RuntimeError, match="calibrate"):
+            engine.predict(np.zeros((1, 3, 32, 32)))
+        assert all(layer.runtime is None for layer in engine.layers)
 
     def test_bitserial_output_close_to_float_at_8bit(self, engine, compressed_small_model):
         """Full-precision LUT + 8-bit activations should track the float model closely."""
@@ -62,11 +65,6 @@ class TestBitSerialInferenceEngine:
         assert np.abs(bitserial_out - float_out).max() < 0.25 * scale
         correlation = np.corrcoef(float_out.ravel(), bitserial_out.ravel())[0, 1]
         assert correlation > 0.98
-
-    def test_runtimes_are_uninstalled_after_context(self, engine):
-        with engine:
-            assert all(layer.runtime is not None for layer in engine.layers)
-        assert all(layer.runtime is None for layer in engine.layers)
 
     def test_lower_bitwidth_increases_error(self, engine, compressed_small_model):
         x = np.random.default_rng(2).normal(size=(2, 3, 32, 32))
@@ -174,37 +172,19 @@ class TestSetActivationBitwidthActiveBits:
 
 
 class TestEngineLifecycle:
-    """Runtime install/uninstall safety of the legacy (oracle) paths."""
+    """Runtime install/uninstall safety of calibration and No-LUT mode."""
 
-    def test_evaluate_float_restores_installed_runtime(self, engine, calibration_loader):
-        with engine:
-            installed = [layer.runtime for layer in engine.layers]
-            accuracy = engine.evaluate_float(calibration_loader)
-            assert 0.0 <= accuracy <= 1.0
-            assert [layer.runtime for layer in engine.layers] == installed
-        assert all(layer.runtime is None for layer in engine.layers)
-
-    def test_evaluate_float_restores_runtime_after_exception(self, engine):
-        class ExplodingLoader:
-            def __iter__(self):
-                raise RuntimeError("boom")
-
-        with engine:
-            installed = [layer.runtime for layer in engine.layers]
-            with pytest.raises(RuntimeError, match="boom"):
-                engine.evaluate_float(ExplodingLoader())
-            assert [layer.runtime for layer in engine.layers] == installed
-
-    def test_legacy_evaluate_uninstalls_after_loader_exception(self, engine):
-        from dataclasses import replace
-
-        class ExplodingLoader:
-            def __iter__(self):
-                raise RuntimeError("boom")
-
-        engine.config = replace(engine.config, use_graph=False)
-        with pytest.raises(RuntimeError, match="boom"):
-            engine.evaluate(ExplodingLoader())
+    def test_no_lut_predict_uninstalls_after_exception(
+        self, compressed_small_model, calibration_loader
+    ):
+        engine = BitSerialInferenceEngine(
+            compressed_small_model.model,
+            compressed_small_model.pool,
+            EngineConfig(use_lut=False, calibration_batches=2),
+        )
+        engine.calibrate(calibration_loader)
+        with pytest.raises(ValueError):
+            engine.predict(np.zeros((1, 5, 32, 32)))  # wrong channel count
         assert all(layer.runtime is None for layer in engine.layers)
 
     def test_calibrate_uninstalls_after_loader_exception(
@@ -219,14 +199,4 @@ class TestEngineLifecycle:
         )
         with pytest.raises(RuntimeError, match="boom"):
             engine.calibrate(ExplodingLoader())
-        assert all(layer.runtime is None for layer in engine.layers)
-
-    def test_enter_before_calibrate_raises_and_installs_nothing(
-        self, compressed_small_model
-    ):
-        engine = BitSerialInferenceEngine(
-            compressed_small_model.model, compressed_small_model.pool
-        )
-        with pytest.raises(RuntimeError):
-            engine.__enter__()
         assert all(layer.runtime is None for layer in engine.layers)

@@ -92,8 +92,8 @@ class TestCompile:
 
     def test_optimize_folds_batchnorm_and_fuses_requantize(self):
         engine = _calibrated_engine("resnet14_tiny")
-        plain = engine.compile(optimize=False)
-        optimized = engine.compile(optimize=True)
+        plain = engine.compile(level="O0")
+        optimized = engine.compile(level="O2")
         # Every BatchNorm behind a compressed conv folds into the epilogue;
         # only the (uncompressed) stem's BN survives.
         assert plain.count("batchnorm") == 15
@@ -128,106 +128,32 @@ class TestCompile:
         assert "bitserial_conv" in text and "requantize" in text
 
 
-@pytest.mark.parametrize("model_name", ["resnet14_tiny", "mobilenetv2_tiny"])
-class TestExecutorEquivalence:
-    """Property tests of the acceptance criterion: graph executor vs legacy."""
-
-    def test_unoptimized_plan_backend_bit_exact(self, model_name):
-        engine = _calibrated_engine(model_name)  # full-precision LUT
-        x = np.random.default_rng(1).normal(size=(4, 3, 32, 32))
-        engine.config = replace(engine.config, use_graph=False)
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=False)
-        graph = engine.predict(x)
-        np.testing.assert_array_equal(graph, legacy)
-
-    def test_optimized_plan_backend_within_tolerance(self, model_name):
-        engine = _calibrated_engine(model_name)
-        x = np.random.default_rng(2).normal(size=(4, 3, 32, 32))
-        engine.config = replace(engine.config, use_graph=False)
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=True)
-        optimized = engine.predict(x)
-        # Documented float-association tolerance of the fusion passes.
-        scale = max(float(np.abs(legacy).max()), 1e-12)
-        assert np.abs(optimized - legacy).max() < 1e-9 * scale
-        assert np.array_equal(optimized.argmax(axis=1), legacy.argmax(axis=1))
-
-    def test_reference_backend_matches_legacy_reference(self, model_name):
-        engine = _calibrated_engine(model_name)
-        x = np.random.default_rng(3).normal(size=(2, 3, 32, 32))
-        engine.config = replace(
-            engine.config, use_kernel_plans=False, use_graph=False
-        )
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=False)
-        graph = engine.predict(x)
-        np.testing.assert_array_equal(graph, legacy)
-
-    def test_quantized_lut_identical_predictions(self, model_name):
-        engine = _calibrated_engine(model_name, lut_bitwidth=8)
-        loader = _loader(seed=7, n=16)
-        graph_acc = engine.evaluate(loader)
-        engine.config = replace(engine.config, use_graph=False)
-        legacy_acc = engine.evaluate(loader)
-        assert graph_acc == legacy_acc
-
-
 class TestExecutorDetails:
     def test_unknown_backend_raises(self):
         engine = _calibrated_engine("resnet_s_tiny")
         with pytest.raises(KeyError):
             Executor(engine.compile(), backend="no-such-backend")
 
-    def test_executor_reuses_released_buffers(self):
-        # The buffer pool is the fallback path: optimized plan programs
-        # execute through the ahead-of-time arena plan, so the pool is
-        # exercised by explicitly opting out of it.
+    def test_interpreter_runs_are_repeatable(self):
         engine = _calibrated_engine("resnet_s_tiny")
-        executor = Executor(engine.compile(), memory_plan=False)
+        executor = Executor(engine.compile(level="O1"))
+        assert executor.exec_plan is None
         x = np.random.default_rng(4).normal(size=(2, 3, 32, 32))
         first = executor.run(x)
-        assert executor.pool._free, "released buffers should populate the pool"
-        second = executor.run(x)
-        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(executor.run(x), first)
 
-    def test_buffer_pool_is_bounded_across_runs(self):
-        """Regression: free lists must not grow by one dead buffer per batch."""
-        engine = _calibrated_engine("resnet_s_tiny")
-        executor = Executor(engine.compile(), memory_plan=False)
-        from repro.core.program import _BufferPool
-
-        x = np.random.default_rng(4).normal(size=(4, 3, 32, 32))
-        cap = _BufferPool._MAX_FREE_PER_KEY
-        for _ in range(cap + 2):
-            executor.run(x)
-        sizes = {key: len(stack) for key, stack in executor.pool._free.items()}
-        assert all(size <= cap for size in sizes.values())
-        for _ in range(5):
-            executor.run(x)
-        after = {key: len(stack) for key, stack in executor.pool._free.items()}
-        assert after == sizes
-
-    def test_linear_only_model_falls_back_to_legacy_runtime(self):
-        """Regression: non-(C,H,W) models must keep working through predict."""
+    def test_linear_only_model_compiles_from_feature_inputs(self):
+        """Regression: (N, F) models lower from an (F,) input shape."""
         from repro.core import BitSerialInferenceEngine, EngineConfig
         from repro.core.layers import WeightPoolLinear
         from repro.core.weight_pool import WeightPool
-        from repro.nn import Linear, Module, ReLU
-
-        class MLP(Module):
-            def __init__(self, pool):
-                super().__init__()
-                self.fc1 = WeightPoolLinear(32, 16, pool, rng=0)
-                self.act = ReLU()
-                self.fc2 = Linear(16, 10, rng=1)
-
-            def forward(self, x):
-                return self.fc2(self.act(self.fc1(x)))
+        from repro.nn import Linear, ReLU, Sequential
 
         rng = np.random.default_rng(0)
         pool = WeightPool(vectors=rng.normal(size=(16, 8)))
-        model = MLP(pool)
+        model = Sequential(
+            WeightPoolLinear(32, 16, pool, rng=0), ReLU(), Linear(16, 10, rng=1)
+        )
         inputs = rng.normal(size=(32, 32))
         targets = rng.integers(0, 10, size=32)
         loader = DataLoader(ArrayDataset(inputs, targets), batch_size=16)
@@ -235,36 +161,16 @@ class TestExecutorDetails:
             model, pool, EngineConfig(lut_bitwidth=8, calibration_batches=2)
         )
         engine.calibrate(loader)
+        assert engine.compile().input_shape == (32,)
         out = engine.predict(rng.normal(size=(4, 32)))
         assert out.shape == (4, 10)
         assert 0.0 <= engine.evaluate(loader) <= 1.0
-
-    def test_padded_thin_layers_execute_and_match_legacy(self):
-        # A width multiplier producing 5-channel convolutions with group size
-        # 8 forces zero-point channel padding; the program materialises the
-        # pad as an explicit compile-time op instead of a per-batch check.
-        engine = _calibrated_engine(
-            "tinyconv", model_kwargs={"width_mult": 0.15},
-            pad_channels=True, compress_first_layer=False,
-        )
-        program = engine.compile(optimize=False)
-        assert program.count("pad_channels") > 0
-        x = np.random.default_rng(5).normal(size=(2, 3, 32, 32))
-        engine.config = replace(engine.config, use_graph=False)
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=False)
-        np.testing.assert_array_equal(engine.predict(x), legacy)
-        engine.config = replace(engine.config, graph_optimize=True)
-        optimized = engine.predict(x)
-        scale = max(float(np.abs(legacy).max()), 1e-12)
-        assert np.abs(optimized - legacy).max() < 1e-9 * scale
 
     def test_active_bits_truncation_through_graph(self):
         engine = _calibrated_engine("resnet_s_tiny")
         x = np.random.default_rng(6).normal(size=(2, 3, 32, 32))
         full = engine.predict(x)
         engine.config = replace(engine.config, active_bits=4)
-        engine._invalidate_compiled()
         truncated = engine.predict(x)
         assert not np.allclose(full, truncated)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitSerialInferenceEngine, EngineConfig
+from repro.core import BitSerialInferenceEngine, EngineConfig, Executor
 from repro.core.bitserial import (
     bit_vector_values,
     bitserial_conv2d,
@@ -158,6 +158,32 @@ class TestConvPlanExactness:
         np.testing.assert_allclose(plan(q_x), ref, rtol=1e-4)
 
 
+class TestAddressEncoder:
+    """The encoder follows from the plan's geometry; both give identical
+    addresses, hence reference-exact outputs."""
+
+    @pytest.mark.parametrize("group_size, expected", [(8, "bitmul"), (4, "packbits")])
+    def test_encoder_chosen_from_group_size(self, group_size, expected):
+        import sys
+
+        if expected == "bitmul" and sys.byteorder != "little":
+            expected = "packbits"
+        rng = np.random.default_rng(group_size)
+        lut = build_lut(WeightPool(rng.normal(size=(16, group_size))))
+        indices = rng.integers(0, 16, size=(6, 2, 3, 3))
+        plan = compile_conv_plan(indices, lut, padding=1, act_bitwidth=8, pad_value=3)
+        assert plan.encoder == expected
+        q_x = rng.integers(0, 256, size=(2, 2 * group_size, 5, 5))
+        grouped = q_x.reshape(2, 2, group_size, 5, 5).transpose(1, 0, 3, 4, 2)
+        np.testing.assert_array_equal(
+            plan._encode_addresses(q_x, pad=False), bit_vector_values(grouped, 8)
+        )
+        want = bitserial_conv2d_reference(
+            q_x, indices, lut, padding=1, act_bitwidth=8, pad_value=3
+        )
+        np.testing.assert_array_equal(plan(q_x), want * plan.alpha)
+
+
 class TestLinearPlanExactness:
     @given(
         seed=st.integers(0, 500),
@@ -268,13 +294,12 @@ class TestEnginePlanPath:
         targets = rng.integers(0, 10, size=32)
         return DataLoader(ArrayDataset(inputs, targets), batch_size=16)
 
-    def test_plan_path_bit_exact_with_legacy_path(
+    def test_plan_backend_matches_tap_loop_backend(
         self, compressed_small_model, calibration_loader
     ):
-        """Whole-network invariant: plans and the tap-loop path agree exactly
-        (full-precision LUT) on every layer, hence on the logits."""
-        from dataclasses import replace
-
+        """Whole-network invariant: on the O0 program, plans and the tap-loop
+        kernels agree exactly (full-precision LUT) on every layer; the logits
+        differ only by the fused epilogue's float association."""
         engine = BitSerialInferenceEngine(
             compressed_small_model.model,
             compressed_small_model.pool,
@@ -282,44 +307,33 @@ class TestEnginePlanPath:
         )
         engine.calibrate(calibration_loader)
         x = np.random.default_rng(9).normal(size=(4, 3, 32, 32))
-        engine.config = replace(engine.config, use_kernel_plans=True)
-        plan_out = engine.predict(x)
-        engine.config = replace(engine.config, use_kernel_plans=False)
-        legacy_out = engine.predict(x)
+        program = engine.compile(level="O0")
+        plan_out = Executor(program, backend="plan").run(x)
+        legacy_out = Executor(program, backend="reference").run(x)
         np.testing.assert_allclose(plan_out, legacy_out, rtol=1e-12, atol=1e-10)
 
-    def test_plan_cache_invalidated_on_bitwidth_change(
+    def test_executor_cache_invalidated_on_bitwidth_change(
         self, compressed_small_model, calibration_loader
     ):
-        from dataclasses import replace
-
         engine = BitSerialInferenceEngine(
             compressed_small_model.model,
             compressed_small_model.pool,
-            EngineConfig(
-                activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2,
-                use_graph=False,  # exercise the per-layer plan cache directly
-            ),
+            EngineConfig(activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2),
         )
         engine.calibrate(calibration_loader)
         x = np.random.default_rng(10).normal(size=(2, 3, 32, 32))
         engine.predict(x)
-        assert engine._plans
+        assert engine._executors
         engine.set_activation_bitwidth(4)
-        assert not engine._plans
+        assert not engine._executors
         out4 = engine.predict(x)
-        plan = next(iter(engine._plans.values()))
-        conv_plan = plan if isinstance(plan, ConvKernelPlan) else plan.conv_plan
+        (executor,) = engine._executors.values()
+        plans = [step.plan for step in executor._steps if step.plan is not None]
+        conv_plan = plans[0] if isinstance(plans[0], ConvKernelPlan) else plans[0].conv_plan
         assert conv_plan.act_bitwidth == 4
         engine.set_lut_bitwidth(4)
-        assert not engine._plans
-        assert np.all(np.isfinite(out4))
-        # The whole-network executor cache invalidates on the same events.
-        engine.config = replace(engine.config, use_graph=True)
-        engine.predict(x)
-        assert engine._executors
-        engine.set_activation_bitwidth(6)
         assert not engine._executors
+        assert np.all(np.isfinite(out4))
 
 
 class TestPaddingHoist:

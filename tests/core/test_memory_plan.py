@@ -1,9 +1,10 @@
 """Property tests for the ahead-of-time execution planner.
 
 The contract under test: the arena + fused + sharded executor produces
-**bitwise identical** outputs to the pooled executor (same program, same
-tile), for every shard count, including ragged final tiles — and tracks the
-reference backend within the documented optimization tolerance.  The arena
+**bitwise identical** outputs to the step interpreter running the same
+graph passes (the ``O1`` program, same tile), for every shard count,
+including ragged final tiles — and tracks the ``O0`` reference oracle
+within the documented optimization tolerance.  The arena
 layout itself is validated structurally: no two simultaneously-live
 storages may share bytes (the aliasing regression a bad planner would hit
 on overlapping lifetimes, e.g. residual shortcuts held across a block).
@@ -27,6 +28,7 @@ from repro.core import (
     validate_arena_plan,
 )
 from repro.core.memory_plan import ArenaSlot
+from repro.mcu import build_source_bundle
 from repro.models import create_model
 from repro.nn import DataLoader
 from repro.nn.data.dataset import ArrayDataset
@@ -55,54 +57,53 @@ def planned_engine(request):
     return engine
 
 
+def _interpreted(engine, **kwargs):
+    """The step interpreter on the O1 program: the O2 graph passes, no plan."""
+    executor = Executor(engine.compile(level="O1"), **kwargs)
+    assert executor.exec_plan is None
+    return executor
+
+
 class TestBitExactness:
-    """Arena + fused + sharded output must equal the pooled executor's."""
+    """Arena + fused + sharded output must equal the interpreter's."""
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_sharded_matches_pooled_bitwise(self, planned_engine, n_shards):
-        program = planned_engine.compile(optimize=True)
+    def test_sharded_matches_interpreter_bitwise(self, planned_engine, n_shards):
+        program = planned_engine.compile(level="O2")
         x = np.random.default_rng(1).normal(size=(13, 3, 32, 32))
-        pooled = Executor(program, memory_plan=False, tile=4).run(x)
-        planned = Executor(program, memory_plan=True, n_shards=n_shards, tile=4)
+        interpreted = _interpreted(planned_engine, tile=4).run(x)
+        planned = Executor(program, n_shards=n_shards, tile=4)
         # 13 samples over tile 4 → three full tiles and a ragged final one,
         # split across shards on whole-tile boundaries.
-        np.testing.assert_array_equal(planned.run(x), pooled)
+        np.testing.assert_array_equal(planned.run(x), interpreted)
         # Arenas and scratch are reused, never re-derived: run twice.
-        np.testing.assert_array_equal(planned.run(x), pooled)
+        np.testing.assert_array_equal(planned.run(x), interpreted)
 
     def test_default_executors_agree(self, planned_engine):
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         x = np.random.default_rng(2).normal(size=(16, 3, 32, 32))
-        pooled = Executor(program, memory_plan=False)
+        interpreted = _interpreted(planned_engine)
         planned = Executor(program)
-        assert planned.exec_plan is not None, "optimized plan programs plan by default"
-        assert planned.thread_safe and not pooled.thread_safe
-        np.testing.assert_array_equal(planned.run(x), pooled.run(x))
+        assert planned.exec_plan is not None, "O2 plan programs plan by default"
+        np.testing.assert_array_equal(planned.run(x), interpreted.run(x))
 
     def test_single_sample_and_empty_batches(self, planned_engine):
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         planned = Executor(program, n_shards=2, tile=4)
-        pooled = Executor(program, memory_plan=False, tile=4)
+        interpreted = _interpreted(planned_engine, tile=4)
         one = np.random.default_rng(3).normal(size=(1, 3, 32, 32))
-        np.testing.assert_array_equal(planned.run(one), pooled.run(one))
+        np.testing.assert_array_equal(planned.run(one), interpreted.run(one))
         empty = planned.run(np.empty((0, 3, 32, 32)))
         assert empty.shape == (0, 10)
 
     def test_tracks_reference_backend_predictions(self, planned_engine):
         """The whole planned stack against the tap-loop oracle: identical
         predictions, logits within the documented optimization tolerance."""
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         x = np.random.default_rng(4).normal(size=(8, 3, 32, 32))
         planned = Executor(program, n_shards=2, tile=4).run(x)
-        planned_engine.config = replace(
-            planned_engine.config, use_kernel_plans=False, use_graph=False
-        )
-        try:
-            reference = planned_engine.predict(x)
-        finally:
-            planned_engine.config = replace(
-                planned_engine.config, use_kernel_plans=True, use_graph=True
-            )
+        oracle = Executor(planned_engine.compile(level="O0"), backend="reference")
+        reference = oracle.run(x)
         scale = max(float(np.abs(reference).max()), 1e-12)
         assert np.abs(planned - reference).max() < 1e-9 * scale
         np.testing.assert_array_equal(
@@ -110,11 +111,11 @@ class TestBitExactness:
         )
 
     def test_evaluate_accuracy_identical(self, planned_engine):
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         loader = _loader(seed=7, n=48)
-        pooled_acc = Executor(program, memory_plan=False).evaluate(loader)
+        interpreted_acc = _interpreted(planned_engine).evaluate(loader)
         planned_acc = Executor(program, n_shards=2).evaluate(loader)
-        assert pooled_acc == planned_acc
+        assert interpreted_acc == planned_acc
 
 
 class TestArenaPlan:
@@ -122,7 +123,7 @@ class TestArenaPlan:
         """Overlapping-lifetime regression: residual shortcuts keep a buffer
         live across a whole block — simultaneously-live storages must never
         share arena bytes (validate_arena_plan raises on bad aliasing)."""
-        executor = Executor(planned_engine.compile(optimize=True))
+        executor = Executor(planned_engine.compile(level="O2"))
         plan = executor.exec_plan
         validate_arena_plan(plan)
         # The planner found some reuse: the arena is smaller than the sum of
@@ -131,7 +132,7 @@ class TestArenaPlan:
         assert plan.arena_bytes <= total
 
     def test_validator_catches_bad_aliasing(self, planned_engine):
-        executor = Executor(planned_engine.compile(optimize=True))
+        executor = Executor(planned_engine.compile(level="O2"))
         plan = executor.exec_plan
         # Corrupt the plan: force two live storages onto the same offset.
         live = [
@@ -148,7 +149,7 @@ class TestArenaPlan:
             validate_arena_plan(corrupted)
 
     def test_counters_reported_in_metadata(self, planned_engine):
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         executor = Executor(program, n_shards=3)
         info = executor.plan_info
         assert info["arena_bytes"] > 0
@@ -159,38 +160,24 @@ class TestArenaPlan:
         assert meta["execution_plan"]["arena_bytes"] == info["arena_bytes"]
         assert meta["execution_plan"]["steps_fused"] == info["steps_fused"]
 
-    def test_arena_below_pooled_peak(self, planned_engine):
-        """The packed arena beats the pooled executor's measured peak
-        (live buffers + free lists) at the same tile."""
-        program = planned_engine.compile(optimize=True)
-        planned = Executor(program)
-        pooled = Executor(program, memory_plan=False, tile=planned.exec_plan.tile,
-                          track_memory=True)
-        x = np.random.default_rng(5).normal(size=(planned.exec_plan.tile, 3, 32, 32))
-        for _ in range(3):
-            pooled.run(x)
-        assert 0 < planned.exec_plan.arena_bytes < pooled.peak_pool_bytes
-
-
 class TestFallbacks:
-    def test_unoptimized_and_reference_programs_stay_pooled(self, planned_engine):
-        unoptimized = planned_engine.compile(optimize=False)
+    def test_unoptimized_and_reference_programs_run_interpreted(self, planned_engine):
+        unoptimized = planned_engine.compile(level="O0")
         assert Executor(unoptimized).exec_plan is None
-        optimized = planned_engine.compile(optimize=True)
+        optimized = planned_engine.compile(level="O2")
         assert Executor(optimized, backend="reference").exec_plan is None
 
     def test_structural_program_cannot_be_planned(self, compressed_small_model):
         program = compile_network(compressed_small_model.model, (3, 32, 32))
         with pytest.raises(RuntimeError):
-            Executor(program, backend="plan", memory_plan=True)
+            Executor(program, backend="plan")
 
-    def test_explicit_plan_on_unplannable_backend_raises(self, planned_engine):
-        program = planned_engine.compile(optimize=True)
-        with pytest.raises((PlanUnsupported, RuntimeError)):
-            Executor(program, backend="reference", memory_plan=True)
+    def test_source_bundle_of_an_unplanned_program_raises(self, planned_engine):
+        with pytest.raises(PlanUnsupported, match="O1"):
+            build_source_bundle(planned_engine.compile(level="O1"))
 
     def test_active_bits_flow_through_the_plan(self, planned_engine):
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         full = Executor(program)
         truncated = Executor(program, active_bits=4)
         x = np.random.default_rng(6).normal(size=(4, 3, 32, 32))
@@ -201,7 +188,7 @@ class TestSerializedPrograms:
     def test_loaded_program_plans_and_matches(self, planned_engine, tmp_path):
         """Plans survive save/load: a loaded artifact re-plans from the IR
         and executes bitwise-identically to the original planned executor."""
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         x = np.random.default_rng(8).normal(size=(10, 3, 32, 32))
         expected = Executor(program, n_shards=2, tile=4).run(x)
         path = tmp_path / "program.npz"
@@ -214,7 +201,7 @@ class TestSerializedPrograms:
     def test_saved_metadata_carries_plan_counters(self, planned_engine, tmp_path):
         from repro.core import read_program_metadata
 
-        program = planned_engine.compile(optimize=True)
+        program = planned_engine.compile(level="O2")
         Executor(program)  # attaches plan counters to the program
         path = tmp_path / "program.npz"
         save_program(program, path)

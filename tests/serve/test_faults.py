@@ -399,7 +399,7 @@ class TestScaleChaos:
 
     def test_thread_pool_crash_during_grow_fails_one_batch_then_recovers(self):
         pool = ThreadWorkerPool(
-            _PlusOne, num_workers=1,
+            _PlusOne(), num_workers=1,
             fault_plan=FaultPlan.crash_during_scale(nth_resize=1),
         )
         try:
@@ -425,7 +425,7 @@ class TestScaleChaos:
         from repro.serve import ResilientDispatcher
 
         pool = ThreadWorkerPool(
-            _PlusOne, num_workers=1,
+            _PlusOne(), num_workers=1,
             fault_plan=FaultPlan.crash_during_scale(nth_resize=1),
         )
         dispatch = ResilientDispatcher(pool.submit, FAST_RETRY)

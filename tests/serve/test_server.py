@@ -32,14 +32,12 @@ class FakeExecutor:
 
 
 class TestThreadWorkerPool:
-    def test_runs_batches_on_own_executors(self):
-        built = []
-        pool = ThreadWorkerPool(lambda: built.append(1) or FakeExecutor(), num_workers=3)
+    def test_runs_batches_on_the_shared_executor(self):
+        pool = ThreadWorkerPool(FakeExecutor(), num_workers=3)
         try:
             futures = [pool.submit(np.full(2, i, dtype=float)) for i in range(6)]
             for i, future in enumerate(futures):
                 np.testing.assert_array_equal(future.result(timeout=5.0), np.full(2, i + 1.0))
-            assert len(built) == 3  # one executor per worker, not per batch
         finally:
             pool.close()
 
@@ -48,7 +46,7 @@ class TestThreadWorkerPool:
             def run(self, batch):
                 raise ValueError("bad batch")
 
-        pool = ThreadWorkerPool(Exploding, num_workers=1)
+        pool = ThreadWorkerPool(Exploding(), num_workers=1)
         try:
             with pytest.raises(ValueError, match="bad batch"):
                 pool.submit(np.zeros(1)).result(timeout=5.0)
@@ -56,42 +54,22 @@ class TestThreadWorkerPool:
             pool.close()
 
     def test_submit_after_close_raises(self):
-        pool = ThreadWorkerPool(FakeExecutor, num_workers=1)
+        pool = ThreadWorkerPool(FakeExecutor(), num_workers=1)
         pool.close()
         with pytest.raises(WorkerError):
             pool.submit(np.zeros(1))
 
-    def test_shared_mode_builds_one_executor(self, served):
+    def test_workers_share_one_planned_executor(self, served):
         from repro.core import Executor
 
-        built = []
-        def factory():
-            built.append(1)
-            return Executor(served.program)
-
-        pool = ThreadWorkerPool(factory, num_workers=3, shared=True)
+        pool = ThreadWorkerPool(Executor(served.program), num_workers=3)
         try:
-            assert len(built) == 1  # one executor, its shard pool shared
-            assert pool.shared_executor.thread_safe
+            assert pool.executor.exec_plan is not None  # its shard pool is shared
             futures = [pool.submit(served.batch) for _ in range(4)]
             for future in futures:
                 np.testing.assert_allclose(
                     future.result(timeout=120.0), served.expected,
                     rtol=1e-9, atol=1e-12,
-                )
-        finally:
-            pool.close()
-
-    def test_shared_mode_serializes_unsafe_executors(self):
-        # A shared executor without thread_safe=True degrades to
-        # correct-but-serial behind a lock instead of racing.
-        pool = ThreadWorkerPool(FakeExecutor, num_workers=2, shared=True)
-        try:
-            assert pool._shared_run_lock is not None
-            futures = [pool.submit(np.full(2, i, dtype=float)) for i in range(4)]
-            for i, future in enumerate(futures):
-                np.testing.assert_array_equal(
-                    future.result(timeout=5.0), np.full(2, i + 1.0)
                 )
         finally:
             pool.close()
