@@ -6,8 +6,9 @@ Three stages, one per module:
   native-eligible portion of a planned schedule (arena offsets baked as
   constants, fused chains as single loop nests, per-layer tables in one
   binary consts blob).
-* :mod:`~repro.core.codegen.build` — host-compiler discovery and a content-
-  hash-keyed build cache of compiled shared libraries.
+* :mod:`~repro.core.codegen.build` — host-compiler discovery, a parallel
+  per-segment ``-O3`` build, and a content-hash-keyed build cache of
+  compiled shared libraries.
 * :mod:`~repro.core.codegen.runtime` — ctypes loading and execution of the
   emitted segments against the executor's shard runtimes.
 
@@ -77,7 +78,7 @@ def bind_native(
             "no native-eligible steps in this schedule (nothing to compile)"
         )
     lib_path, cache_hit, compiler = build_shared_library(
-        emitted.source, emitted.consts, cache_dir=cache_dir
+        emitted.source, emitted.consts, cache_dir=cache_dir, units=emitted.units
     )
     return NativeExecution(
         emitted, exec_plan, lib_path, compiler=compiler, cache_hit=cache_hit

@@ -10,10 +10,23 @@ content built the same way always maps to the same library file, so repeated
 binds (and server restarts) skip the compile entirely, and a library built
 with other flags is never reused.
 
-Flags are part of the contract, not a tuning knob: ``-ffp-contract=off``
-forbids FMA contraction so the emitted float expressions evaluate exactly
-the ufunc-by-ufunc sequence the NumPy plan backend runs — the bit-exactness
-guarantee of the ``native`` backend depends on it.
+The emitter also hands over the source split into one translation unit per
+segment (``repro_seg_k``; the segments share nothing but the ``#include``
+header).  A cold build compiles those units concurrently — at most
+``os.cpu_count()`` compilers at once — and links the objects once, so the
+``-O3`` build's wall time shrinks with the core count.  The
+cache key, the ``.c`` companion written next to the library and the atomic
+publish all cover the whole source, as if it had been compiled in one piece.
+
+Flags are part of the contract, not a tuning knob.  ``-O3`` adds loop
+vectorisation and unrolling, but without ``-ffast-math`` the compiler never
+reassociates float arithmetic; ``-ffp-contract=off`` forbids FMA
+contraction so the emitted float expressions evaluate exactly the
+ufunc-by-ufunc sequence the NumPy plan backend runs — the bit-exactness
+guarantee of the ``native`` backend depends on it.  Value-changing flags
+(``-ffast-math``, ``-Ofast``) break that guarantee, and host-ISA flags
+(``-march=native``) would make the cached library host-specific while the
+cache key carries no ISA, so neither belongs here.
 
 Hosts without a compiler raise :class:`NoCompilerError`; the executor
 catches it and falls back to the plan backend (O4 → effective O3) with a
@@ -27,8 +40,9 @@ import os
 import shutil
 import subprocess
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: ABI revision of the emitted segment entry points; bumped when the
 #: signature ``(consts, arena, scratch, ext, n)`` or the layout contract
@@ -36,8 +50,9 @@ from typing import Optional, Tuple
 #: it does not understand.
 NATIVE_ABI = 1
 
-#: Pinned compile flags (see module docstring for why they are contractual).
-CFLAGS: Tuple[str, ...] = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+#: Pinned compile flags for every translation unit (see module docstring for
+#: why they are contractual); the objects are then linked with ``-shared``.
+CFLAGS: Tuple[str, ...] = ("-O3", "-std=c99", "-fPIC", "-ffp-contract=off")
 
 #: Compiler candidates probed in order.
 _COMPILERS = ("cc", "gcc", "clang")
@@ -95,14 +110,27 @@ def content_key(source: str, consts: bytes) -> str:
 
 
 def build_shared_library(
-    source: str, consts: bytes, cache_dir: Optional[os.PathLike] = None
+    source: str,
+    consts: bytes,
+    cache_dir: Optional[os.PathLike] = None,
+    units: Optional[Sequence[str]] = None,
 ) -> Tuple[Path, bool, Optional[str]]:
     """Compile (or fetch from cache) the shared library for ``source``.
+
+    ``units`` are independently compilable translation units that together
+    define what ``source`` defines (the emitter's per-segment split); they
+    are compiled in parallel and linked once.  ``None`` compiles ``source``
+    as one unit.  The cache key and the ``.c`` companion always cover
+    ``source``.
 
     Returns ``(library_path, cache_hit, compiler)``; ``compiler`` is ``None``
     on a cache hit (nothing was invoked).  Raises :class:`NoCompilerError`
     when no compiler exists and the library is not already cached, and
-    :class:`NativeBuildError` when compilation fails.
+    :class:`NativeBuildError` — naming the failing command — when a unit
+    does not compile or the link fails.  Intermediate files live in a
+    private temporary directory that is removed on success and on failure;
+    concurrent builders of one key each publish a complete library under
+    the same name, so every one of them ends with a valid file.
     """
     key = content_key(source, consts)
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -116,20 +144,44 @@ def build_shared_library(
             "install gcc or set PATH to enable the native (O4) backend"
         )
     cache.mkdir(parents=True, exist_ok=True)
-    src_path = cache / f"repro_{key[:32]}.c"
-    src_path.write_text(source)
-    fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=str(cache))
-    os.close(fd)
-    cmd = [compiler, *CFLAGS, "-o", tmp_name, str(src_path)]
+    work = Path(tempfile.mkdtemp(prefix=f".repro_{key[:32]}.", dir=str(cache)))
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise NativeBuildError(
-                f"native build failed ({' '.join(cmd)}):\n{proc.stderr.strip()[-2000:]}"
-            )
-        # Atomic publish: concurrent builders race benignly to the same name.
-        os.replace(tmp_name, lib_path)
+        objects = _compile_units(compiler, list(units or [source]), work)
+        tmp_lib = work / "lib.so"
+        _run([compiler, "-shared", "-o", str(tmp_lib), *map(str, objects)])
+        tmp_src = work / "source.c"
+        tmp_src.write_text(source)
+        # Atomic publish, companion first: concurrent builders race benignly
+        # to the same names, and a published library always has its source.
+        os.replace(tmp_src, cache / f"repro_{key[:32]}.c")
+        os.replace(tmp_lib, lib_path)
     finally:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        shutil.rmtree(work, ignore_errors=True)
     return lib_path, False, compiler
+
+
+def _compile_units(compiler: str, units: List[str], work: Path) -> List[Path]:
+    """Compile each unit to an object in ``work``, concurrently; returns the
+    object paths in unit order or raises the first failing unit's error."""
+    commands = []
+    objects = []
+    for k, text in enumerate(units):
+        src = work / f"unit{k}.c"
+        src.write_text(text)
+        obj = work / f"unit{k}.o"
+        commands.append([compiler, *CFLAGS, "-c", "-o", str(obj), str(src)])
+        objects.append(obj)
+    workers = max(1, min(len(commands), os.cpu_count() or 1))
+    # Leaving the pool waits for every compiler, so a failure never leaves
+    # one writing into the directory the caller is about to remove.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(_run, commands))
+    return objects
+
+
+def _run(cmd: List[str]) -> None:
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise NativeBuildError(
+            f"native build failed ({' '.join(cmd)}):\n{proc.stderr.strip()[-2000:]}"
+        )

@@ -2,11 +2,14 @@
 
 The emitter consumes exactly what the executor already computed ahead of
 time — the bound schedule (``Executor._bind_plan``'s steps, carrying the
-compiled kernel plans and the autotuner's recorded winners), the
+compiled kernel plans) and the
 :class:`~repro.core.memory_plan.ExecutionPlan` (fused steps, static arena
 offsets, buffer specs) — and lowers the native-eligible portion to portable
-C99.  Nothing is re-derived: arena offsets are baked into the source as
-integer constants, each fused chain becomes one per-sample loop nest, and
+C99.  It reads no autotuner decision (a plan's ``tap_gather`` picks between
+two NumPy schedules; the C has its own stage-2 loop), so the executor
+tunes only the steps left on NumPy.  Nothing is re-derived: arena offsets
+are baked into the source as integer constants, each fused chain becomes
+one per-sample loop nest, and
 every per-layer constant (bit-weighted sub-tables, stage-2 gather columns,
 hoisted border tensors, epilogue ``α``/``β``) is serialized into one binary
 *consts blob* passed to the library at call time — keeping the C text small
@@ -125,6 +128,13 @@ class EmittedProgram:
     consts: bytes
     segments: List[SegmentSpec]
     scratch_bytes: int
+    # The source split per segment: each unit is the ``#include`` header
+    # plus one ``repro_seg_k`` (segments share nothing else), so the build
+    # driver compiles them as separate translation units in parallel.
+    units: List[str] = field(default_factory=list)
+    # Indices into the bound schedule of the steps the segments run: the
+    # NumPy kernels of these steps never execute on the native backend.
+    lowered: List[int] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
     entry: Optional[str] = None  # standalone entry point name
 
@@ -229,6 +239,7 @@ class Emitter:
             raise CodegenUnsupported(
                 "bound schedule and execution plan disagree on fusion groups"
             )
+        self.groups = groups
         self.runs = [self.steps[first : last + 1] for first, last in groups]
         self.consts = _Consts()
         self.scratch = _Scratch()
@@ -408,7 +419,7 @@ class Emitter:
                     outputs=tuple(outputs),
                 )
             )
-        header = [
+        header = "\n".join([
             "/* Generated by repro.core.codegen — planned schedule lowered to C99.",
             " * Bit-exact with the NumPy plan backend for every emitted step",
             " * (integer kernels; float epilogues mirror the ufunc sequence).",
@@ -417,9 +428,8 @@ class Emitter:
             "#include <string.h>",
             "#include <math.h>",
             "",
-        ]
-        body = "\n".join(fns)
-        source = "\n".join(header) + body
+        ])
+        source = header + "\n".join(fns)
         entry = None
         if self.standalone:
             source += self._emit_standalone_entry(specs)
@@ -434,6 +444,13 @@ class Emitter:
             source=source,
             consts=self.consts.bytes(),
             segments=specs,
+            units=[] if self.standalone else [header + text for text in fns],
+            lowered=[
+                index
+                for start, stop in segments
+                for first, last in self.groups[start:stop]
+                for index in range(first, last + 1)
+            ],
             scratch_bytes=self.scratch.peak,
             counters=counters,
             entry=entry,

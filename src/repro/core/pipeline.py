@@ -53,7 +53,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -928,6 +928,7 @@ def autotune_schedule(
     tune_shards: bool = True,
     fixed_shards: Optional[int] = None,
     recorded: Optional[Dict[str, Any]] = None,
+    lowered: Collection[int] = (),
     reps: int = 2,
     seed: int = 0,
 ) -> Dict[str, Any]:
@@ -949,6 +950,16 @@ def autotune_schedule(
     BLAS reduction order, the same caveat the heuristic auto-tile always
     carried.  Tuning can therefore never change predictions.
 
+    A native (O4) bind passes ``lowered``: the indices into ``steps`` of the
+    steps its emitted C runs.  The C never reads a kernel plan's tap
+    gather, so those steps are not timed, and their kernels never run, so
+    the tile is not swept — the emitter has already baked the tile's arena
+    offsets into the source, and a sweep would time NumPy work that does
+    not happen.  The shard count follows the core count (the segments run
+    with the GIL released).  Only the steps left on NumPy are tuned; a bind
+    that falls back to the plan backend calls this without ``lowered`` and
+    tunes exactly as O3.
+
     Returns a JSON-able decisions dict (per-layer winners with measured
     per-candidate times, the tile sweep, the shard decision, and the total
     trial count) that the executor surfaces through ``plan_info`` and
@@ -958,8 +969,15 @@ def autotune_schedule(
     """
     rng = np.random.default_rng(seed)
     decisions: Dict[str, Any] = {"layers": {}, "trials": 0}
-    tuned_steps = [s for s in steps if getattr(s, "plan", None) is not None]
-    keys = _step_decision_keys(tuned_steps)
+    kernel = [(i, s) for i, s in enumerate(steps) if getattr(s, "plan", None) is not None]
+    # Keys over every kernel step, so they match whichever subset is tuned.
+    keyed = zip(_step_decision_keys([s for _, s in kernel]), kernel)
+    skip = set(lowered)
+    pairs = [(key, step) for key, (i, step) in keyed if i not in skip]
+    keys = [key for key, _ in pairs]
+    tuned_steps = [step for _, step in pairs]
+    if skip:
+        tune_tile = False
     if recorded and all(key in (recorded.get("layers") or {}) for key in keys):
         return _reuse_recorded_decisions(
             tuned_steps, keys, recorded, default_tile, tune_shards, fixed_shards,
@@ -1047,6 +1065,8 @@ def autotune_schedule(
         # The caller fixed the shard count; record what actually runs.
         chosen = fixed_shards if fixed_shards is not None else default_shards
         shards = {"chosen": int(chosen), "basis": "fixed"}
+    elif skip:
+        shards = {"chosen": int(default_shards), "basis": "native"}
     elif cpus < 2 or not step_costs:
         shards = {"chosen": 1, "basis": "single-core"}
     else:

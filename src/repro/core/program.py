@@ -980,7 +980,8 @@ class Executor:
         # The schedule ("memory_plan") and tune ("autotune") pipeline stages
         # run here, gated by the program's optimization level: O2 enables the
         # arena plan, O3 additionally autotunes kernel variants and the
-        # tile/shard choices before planning.
+        # tile/shard choices before planning.  A native bind tunes after
+        # codegen instead, and only the steps its C does not run.
         level = program.effective_opt_level
         planned = (
             backend in ("plan", "native")
@@ -988,6 +989,7 @@ class Executor:
             and program.optimized
             and level_enables(level, "O2")
         )
+        tuned = planned and level_enables(level, "O3")
         self.exec_plan = None
         self._native = None  # NativeExecution after a successful O4 bind
         self.plan_info: Optional[Dict[str, Any]] = None
@@ -996,73 +998,67 @@ class Executor:
         self._shard_threads = None
         self._shard_lock = threading.Lock()
         self.max_shards_used = 0
+        active_bits = options.get("active_bits")
         if planned:
-            from repro.core.memory_plan import PlanUnsupported, compile_execution_plan
-
             plan_tile = self.tile if self.tile else 64
-            if level_enables(level, "O3"):
-                # A previous bind's recorded winners (this session or a
-                # loaded artifact's header) replay deterministically with no
-                # timing runs; only a first-ever bind micro-benchmarks.
-                self.autotune = autotune_schedule(
-                    program,
-                    self._steps,
-                    default_tile=plan_tile,
-                    active_bits=options.get("active_bits"),
-                    tune_tile=requested_tile is None,
-                    tune_shards=n_shards is None,
-                    fixed_shards=n_shards,
-                    recorded=recorded_autotune(program),
+            if tuned and backend != "native":
+                plan_tile, n_shards = self._autotune(
+                    plan_tile, requested_tile, n_shards, active_bits
                 )
-                if requested_tile is None:
-                    self.tile = plan_tile = int(self.autotune["tile"]["chosen"])
-                if n_shards is None:
-                    n_shards = int(self.autotune["n_shards"]["chosen"])
-            try:
-                self.exec_plan = compile_execution_plan(
-                    program,
-                    self._steps,
-                    tile=plan_tile,
-                    active_bits=options.get("active_bits"),
-                )
-            except PlanUnsupported:
-                # The interpreter runs the program instead; tuned kernel
-                # variants are bitwise-identical there too.
-                pass
-            else:
-                # Record the schedule/tune stages only once they are live.
-                if self.autotune is not None:
-                    record_stage_report(
-                        program,
-                        {
-                            "name": "autotune",
-                            "stage": "tune",
-                            "counters": {
-                                "layers_tuned": self.autotune["layers_tuned"],
-                                "trials": self.autotune["trials"],
-                                "tile": self.autotune["tile"]["chosen"],
-                                "n_shards": self.autotune["n_shards"]["chosen"],
-                            },
-                            "decisions": persistable_autotune(self.autotune),
-                        },
-                    )
-                record_stage_report(
-                    program,
-                    {
-                        "name": "memory_plan",
-                        "stage": "schedule",
-                        "counters": dict(self.exec_plan.counters),
-                    },
-                )
+            self.exec_plan = self._compile_plan(plan_tile, active_bits)
         # -- native (O4) codegen bind ----------------------------------------
         # The ``codegen`` pipeline stage runs here, after planning: the
         # native backend lowers the planned schedule's eligible steps to C,
         # compiles (or cache-loads) them, and replaces those steps with
         # library calls.  Expected failures downgrade to the plan backend
         # with a surfaced ``fallback_reason`` — never silently.
-        if self.backend == "native":
-            self._bind_native(options.get("active_bits"))
+        if backend == "native":
+            self._bind_native(active_bits)
+            if tuned:
+                # Bound: time only the steps left on NumPy, at the tile the
+                # C was emitted for (so every bind of the program, a loading
+                # worker's too, emits the same source).  Fallen back: tune
+                # exactly as O3, then re-plan at the tuned tile.
+                lowered = self._native.emitted.lowered if self._native is not None else ()
+                tile, n_shards = self._autotune(
+                    plan_tile, requested_tile, n_shards, active_bits, lowered
+                )
+                if self.exec_plan is not None and tile != plan_tile:
+                    self.exec_plan = self._compile_plan(tile, active_bits)
         if self.exec_plan is not None:
+            # Record the tune/schedule/codegen stages only once they are live.
+            if self.autotune is not None:
+                record_stage_report(
+                    program,
+                    {
+                        "name": "autotune",
+                        "stage": "tune",
+                        "counters": {
+                            "layers_tuned": self.autotune["layers_tuned"],
+                            "trials": self.autotune["trials"],
+                            "tile": self.autotune["tile"]["chosen"],
+                            "n_shards": self.autotune["n_shards"]["chosen"],
+                        },
+                        "decisions": persistable_autotune(self.autotune),
+                    },
+                )
+            record_stage_report(
+                program,
+                {
+                    "name": "memory_plan",
+                    "stage": "schedule",
+                    "counters": dict(self.exec_plan.counters),
+                },
+            )
+            if self._native is not None:
+                record_stage_report(
+                    program,
+                    {
+                        "name": "codegen",
+                        "stage": "codegen",
+                        "counters": dict(self._native.counters()),
+                    },
+                )
             from repro.core.memory_plan import ShardRuntime
 
             self.n_shards = max(
@@ -1083,6 +1079,42 @@ class Executor:
             program.plan_counters = dict(self.plan_info)
         else:
             self.n_shards = max(1, n_shards or 1)
+
+    def _autotune(self, default_tile, requested_tile, n_shards, active_bits, lowered=()):
+        """Run the O3 ``autotune`` stage; returns the (tile, shard count) to use.
+
+        A previous bind's recorded winners (this session or a loaded
+        artifact's header) replay deterministically with no timing runs;
+        only a first-ever bind micro-benchmarks.
+        """
+        self.autotune = autotune_schedule(
+            self.program,
+            self._steps,
+            default_tile=default_tile,
+            active_bits=active_bits,
+            tune_tile=requested_tile is None,
+            tune_shards=n_shards is None,
+            fixed_shards=n_shards,
+            recorded=recorded_autotune(self.program),
+            lowered=lowered,
+        )
+        tile = int(self.autotune["tile"]["chosen"])
+        if requested_tile is None:
+            self.tile = tile
+        return tile, int(self.autotune["n_shards"]["chosen"])
+
+    def _compile_plan(self, tile: int, active_bits: Optional[int]):
+        """The ``memory_plan`` stage at ``tile``; ``None`` when the schedule
+        cannot be planned (the interpreter runs it instead — tuned kernel
+        variants are bitwise-identical there too)."""
+        from repro.core.memory_plan import PlanUnsupported, compile_execution_plan
+
+        try:
+            return compile_execution_plan(
+                self.program, self._steps, tile=tile, active_bits=active_bits
+            )
+        except PlanUnsupported:
+            return None
 
     def _bind_native(self, active_bits: Optional[int]) -> None:
         """Attempt the native (O4) codegen bind; fall back to ``plan``.
@@ -1114,14 +1146,6 @@ class Executor:
             build = dict(self._native.build_meta())
             build["source"] = self._native.emitted.source
             self.program.native_build = build
-            record_stage_report(
-                self.program,
-                {
-                    "name": "codegen",
-                    "stage": "codegen",
-                    "counters": dict(self._native.counters()),
-                },
-            )
             if isinstance(report, dict) and report.get("level") == "O4":
                 # A successful bind clears a compile-time probe's fallback —
                 # the build cache can satisfy O4 without a live compiler.

@@ -3,9 +3,16 @@
 Covers the backend's contracts end to end:
 
 * bit-exactness — at a pinned tile/shard configuration the native backend
-  is bitwise identical to the plan backend on ResNet-14 and MobileNetV2
-  (the two architectures exercising plain, strided, depthwise and grouped
-  bit-serial convolutions) — skipped without a host C compiler;
+  is bitwise identical to the plan backend on ResNet-14, MobileNetV2 and a
+  channel-padded TinyConv (plain, strided, depthwise, grouped and
+  pad_channels lowerings) at 4- and 8-bit activations, with and without
+  ``active_bits`` truncation — skipped without a host C compiler;
+* the compile-flag contract — ``-O3`` with FMA contraction off, and no
+  value-changing or host-ISA flag (the cache key carries no ISA);
+* the split build — per-segment units compiled in parallel leave no
+  intermediate files behind on failure, name the failing unit's command,
+  and concurrent builders of one key end with one valid library;
+* a loaded O4 artifact binds from the build cache without a compiler;
 * deterministic emission — the same program emits byte-identical C source
   and consts blobs twice (the build cache's correctness precondition);
 * the no-compiler fallback — O4 degrades to the plan backend at effective
@@ -18,6 +25,9 @@ Covers the backend's contracts end to end:
   and never persisted into artifacts;
 * serve ``/stats`` reporting the *active* backend and effective level.
 """
+
+import ctypes
+import threading
 
 import numpy as np
 import pytest
@@ -36,6 +46,7 @@ from repro.core import (
 from repro.core.codegen import build, emit_native
 from repro.core.codegen.build import find_compiler
 from repro.core.pipeline import persistable_autotune
+from repro.core.program import auto_backend
 from repro.models import create_model
 from repro.nn import DataLoader
 from repro.nn.data.dataset import ArrayDataset
@@ -52,16 +63,18 @@ def _loader(seed=0, n=32):
     return DataLoader(ArrayDataset(inputs, targets), batch_size=16)
 
 
-def _calibrated_engine(model_name, seed=0):
-    model = create_model(model_name, num_classes=10, in_channels=3, rng=seed)
+def _calibrated_engine(model_name, seed=0, bits=8, model_kwargs=None, **policy_kwargs):
+    model = create_model(
+        model_name, num_classes=10, in_channels=3, rng=seed, **(model_kwargs or {})
+    )
     result = compress_model(
         model, (3, 32, 32), pool_size=16,
-        policy=CompressionPolicy(group_size=8), seed=seed,
+        policy=CompressionPolicy(group_size=8, **policy_kwargs), seed=seed,
     )
     engine = BitSerialInferenceEngine(
         result.model,
         result.pool,
-        EngineConfig(lut_bitwidth=8, calibration_batches=2),
+        EngineConfig(activation_bitwidth=bits, lut_bitwidth=8, calibration_batches=2),
     )
     engine.calibrate(_loader(seed))
     return engine
@@ -77,6 +90,7 @@ def _fresh_program(engine, level):
         engine.model, (3, 32, 32),
         lut=engine.lut,
         activation_params=engine.activation_params,
+        act_bitwidth=engine.config.activation_bitwidth,
         level=level,
     )
 
@@ -88,17 +102,48 @@ def _batch(n=13, seed=7):
 # ---------------------------------------------------------------------------
 # Bit-exactness against the plan oracle
 # ---------------------------------------------------------------------------
+_BITWISE_MODELS = {
+    "resnet14_tiny": {},
+    "mobilenetv2_tiny": {},
+    # 5-channel convs under group size 8: the pad_channels glue in C.
+    "tinyconv_padded": dict(
+        model_kwargs={"width_mult": 0.15}, pad_channels=True, compress_first_layer=False
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bitwise_engine():
+    engines = {}
+
+    def get(name, bits):
+        if (name, bits) not in engines:
+            engines[name, bits] = _calibrated_engine(
+                name.replace("_padded", ""), bits=bits, **_BITWISE_MODELS[name]
+            )
+        return engines[name, bits]
+
+    return get
+
+
 @needs_cc
 class TestBitExactness:
-    def _assert_native_matches_plan(self, engine):
+    @pytest.mark.parametrize("truncate", [False, True], ids=["all_bits", "active_bits"])
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("name", sorted(_BITWISE_MODELS))
+    def test_native_matches_plan_bitwise(self, bitwise_engine, name, bits, truncate):
+        engine = bitwise_engine(name, bits)
+        active_bits = bits // 2 if truncate else None
         # Same tile + serial shards on both sides: the only numerics caveat
         # of the planned path is the float convs' BLAS batch (tile) size,
         # so pinning it makes bitwise identity the contract, not luck.
         oracle = Executor(
-            _fresh_program(engine, "O4"), backend="plan", tile=8, n_shards=1
+            _fresh_program(engine, "O4"), backend="plan", tile=8, n_shards=1,
+            active_bits=active_bits,
         )
         native = Executor(
-            _fresh_program(engine, "O4"), backend="native", tile=8, n_shards=1
+            _fresh_program(engine, "O4"), backend="native", tile=8, n_shards=1,
+            active_bits=active_bits,
         )
         assert native.backend == "native"
         assert native._native is not None
@@ -107,12 +152,6 @@ class TestBitExactness:
         assert 0 < counters["native_steps"] <= counters["steps"]
         x = _batch()  # 13 samples: whole tiles plus a ragged tail
         np.testing.assert_array_equal(native.run(x), oracle.run(x))
-
-    def test_resnet14_bitwise_identical(self, resnet_engine):
-        self._assert_native_matches_plan(resnet_engine)
-
-    def test_mobilenetv2_bitwise_identical(self):
-        self._assert_native_matches_plan(_calibrated_engine("mobilenetv2_tiny"))
 
     def test_effective_level_and_codegen_report(self, resnet_engine):
         program = _fresh_program(resnet_engine, "O4")
@@ -127,6 +166,106 @@ class TestBitExactness:
         build = program.native_build
         assert build["abi"] == 1
         assert build["source"].startswith("/* Generated by repro.core.codegen")
+
+
+@needs_cc
+def test_o4_bind_times_only_the_steps_left_on_numpy(resnet_engine, monkeypatch):
+    # Constant timings favour the largest tile candidate: a tile sweep would
+    # move the tile away from the heuristic one the C was emitted for.
+    monkeypatch.setattr("repro.core.pipeline._time_call", lambda fn, reps: 1.0)
+    program = _fresh_program(resnet_engine, "O4")
+    native = Executor(program, backend="native")
+    plan = Executor(_fresh_program(resnet_engine, "O4"), backend="plan")
+    lowered = native._native.emitted.lowered
+    kernel_steps = [i for i, step in enumerate(native._steps) if step.plan is not None]
+    assert set(lowered) & set(kernel_steps)  # some kernel steps run in C
+    assert native.autotune["layers_tuned"] == len(set(kernel_steps) - set(lowered))
+    assert native.autotune["tile"]["candidate_ms_per_image"] == {}  # no sweep
+    assert native.autotune["n_shards"]["basis"] == "native"
+    assert native.autotune["trials"] < plan.autotune["trials"]
+    assert plan.exec_plan.tile != native.exec_plan.tile  # the plan bind did sweep
+
+
+@needs_cc
+def test_loaded_o4_artifact_binds_from_the_cache(resnet_engine, monkeypatch, tmp_path):
+    """The compiling bind and a loading bind (a process worker, a replica, a
+    respawn) emit the same source, so the loader needs no compiler."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    # Timings that favour a non-heuristic tile on the compiling bind.
+    monkeypatch.setattr("repro.core.pipeline._time_call", lambda fn, reps: 1.0)
+    program = _fresh_program(resnet_engine, "O4")
+    assert Executor(program, backend=auto_backend("plan", program)).backend == "native"
+    path = tmp_path / "model.npz"
+    save_program(program, path)
+    loaded = load_program(path)
+    monkeypatch.setattr("repro.core.codegen.build.find_compiler", lambda: None)
+    executor = Executor(loaded, backend=auto_backend("plan", loaded))
+    assert executor.backend == "native"
+    assert executor.plan_info["native"]["cache_hit"] == 1
+    assert len(list(cache.glob("*.so"))) == 1
+
+
+# ---------------------------------------------------------------------------
+# Compile flags and the split build
+# ---------------------------------------------------------------------------
+def test_cflags_keep_the_bitwise_contract():
+    assert "-O3" in build.CFLAGS
+    # No FMA contraction: float epilogues must round like the NumPy ufuncs.
+    assert "-ffp-contract=off" in build.CFLAGS
+    # Value-changing flags break bit-exactness; host-ISA flags would need
+    # the ISA in the cache key, which carries none.
+    for flag in ("-ffast-math", "-Ofast", "-march=native"):
+        assert flag not in build.CFLAGS
+    assert not any(f.startswith(("-march", "-mtune", "-mcpu")) for f in build.CFLAGS)
+
+
+_HEADER = "#include <stdint.h>\n"
+_SEG0 = "void repro_seg_0(int32_t* out) { *out = 7; }\n"
+_SEG1 = "void repro_seg_1(int32_t* out) { *out = 11; }\n"
+
+
+@needs_cc
+def test_failed_unit_names_its_command_and_leaves_no_files(tmp_path):
+    (tmp_path / "keep.txt").write_text("pre-existing")
+    broken = "void repro_seg_1(void) { this is not C }\n"
+    units = [_HEADER + _SEG0, _HEADER + broken]
+    with pytest.raises(build.NativeBuildError) as info:
+        build.build_shared_library(
+            _HEADER + _SEG0 + broken, b"\x01", cache_dir=tmp_path, units=units
+        )
+    assert "unit1.c" in str(info.value) and "unit0.c" not in str(info.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
+
+
+@needs_cc
+def test_concurrent_builders_of_one_key_end_with_one_library(tmp_path):
+    source, units = _HEADER + _SEG0 + _SEG1, [_HEADER + _SEG0, _HEADER + _SEG1]
+    results = []
+
+    def builder():
+        results.append(
+            build.build_shared_library(source, b"\x02", cache_dir=tmp_path, units=units)
+        )
+
+    # More builders than cores, all racing to publish the same key.
+    threads = [threading.Thread(target=builder) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert len(results) == 4 and len({path for path, _, _ in results}) == 1
+    lib_path = results[0][0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        lib_path.with_suffix(".c").name, lib_path.name,
+    ]
+    assert lib_path.with_suffix(".c").read_text() == source
+    lib = ctypes.CDLL(str(lib_path))
+    out = ctypes.c_int32()
+    for name, value in (("repro_seg_0", 7), ("repro_seg_1", 11)):
+        getattr(lib, name)(ctypes.byref(out))
+        assert out.value == value
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The oracle is the ``O0`` program on the ``reference`` backend:
 ``Executor(engine.compile(level="O0"), backend="reference")`` — the
 tap-loop kernels of :mod:`repro.core.bitserial` with the explicit epilogue
 association.  Each model below runs the ``plan`` backend at ``O0``–``O3``
-against it within the numerics contract the end-to-end benchmark checks
-replies with (rtol 1e-6, atol 1e-9), with identical argmax.  The No-LUT
+and the ``native`` backend at ``O4`` (with a host C compiler) against it
+within the numerics contract the end-to-end benchmark checks replies with
+(rtol 1e-6, atol 1e-9), with identical argmax.  The No-LUT
 mode is pinned bitwise to a hand-written fake-quant forward, and executors
 shared across threads are pinned bitwise to a serial run.
 """
@@ -22,6 +23,7 @@ from repro.core import (
     Executor,
     compress_model,
 )
+from repro.core.codegen.build import find_compiler
 from repro.core.layers import WeightPoolLinear
 from repro.core.weight_pool import WeightPool
 from repro.models import create_model
@@ -111,6 +113,16 @@ class TestLevelsAgainstOracle:
         x = _batch(engine)
         expected = _oracle(engine, x)
         got = engine._executor(level=level, backend="plan").run(x)
+        np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    @pytest.mark.skipif(find_compiler() is None, reason="no host C compiler available")
+    def test_native_backend_at_o4_tracks_the_oracle(self, engine):
+        x = _batch(engine)
+        expected = _oracle(engine, x)
+        executor = engine._executor(level="O4", backend="native")
+        assert executor.backend == "native"
+        got = executor.run(x)
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
         np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
 
