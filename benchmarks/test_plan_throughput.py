@@ -2,12 +2,11 @@
 
 Measures end-to-end ``Executor.evaluate`` on the ResNet-14 / CIFAR-10 preset
 at every pipeline optimization level — ``O0`` (reference lowering), ``O1``
-(graph passes), ``O2`` (+fusion/arena memory plan), ``O3`` (+compile-time
-kernel autotuning), ``O4`` (+native codegen backend: the planned schedule
-compiled to C and run via ctypes).  Asserts:
+(graph passes), ``O2`` (+fusion/arena memory plan), ``O4`` (+native codegen
+backend: the planned schedule compiled to C and run via ctypes).  Asserts:
 
-* every level produces identical predictions (same accuracy, and O1..O3 are
-  bitwise identical to each other at a shared tile),
+* every level produces identical predictions (same accuracy, and O1 and O2
+  are bitwise identical at the shared heuristic tile),
 * the pipeline's IR verifier was exercised for every compiled level (the
   fast CI smoke fails if a compile path stops verifying),
 * on machines with ≥ 2 CPUs, sharding a large batch across the arena pool
@@ -15,10 +14,10 @@ compiled to C and run via ctypes).  Asserts:
 * when the host can build it (otherwise O4 falls back to the plan backend
   and these are skipped): the native backend is bitwise identical to the
   plan backend at a pinned tile, plans the *same* arena (byte parity), and
-  is at least as fast as ``O3``.
+  is at least as fast as ``O2``.
 
-Results (one row per level, plus the autotuner's recorded decisions and the
-O3 pipeline report) are written to ``BENCH_plan.json`` at the repo root.
+Results (one row per level, plus the O2 pipeline report) are written to
+``BENCH_plan.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.experiments.common import test_loader_for as held_out_loader_for
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_plan.json"
 # Overridable for noisy shared CI runners.
 SHARD_TARGET = float(os.environ.get("REPRO_PLAN_SHARD_TARGET", "1.15"))
-# O4 (native) vs O3 (plan): the hard floor is parity — the native backend
+# O4 (native) vs O2 (plan): the hard floor is parity — the native backend
 # must never lose to the schedule it compiled; the committed record's margin
 # is well above it (the ISSUE target is 2x on this preset).
 O4_TARGET = float(os.environ.get("REPRO_PLAN_O4_TARGET", "1.0"))
@@ -74,11 +73,9 @@ def test_plan_throughput(scale):
 
     # One executor per optimization level, through the engine's pipeline.
     executors = {level: engine._executor(level=level) for level in OPT_LEVELS}
-    planned = executors["O3"]
+    planned = executors["O2"]
     assert planned.exec_plan is not None
-    assert planned.autotune is not None
-    program = executors["O2"].program
-    same_tile = Executor(program, tile=planned.exec_plan.tile)
+    program = planned.program
     # O4: the engine routes it to the native backend; on hosts without a C
     # compiler the executor downgrades to plan and the native-only
     # assertions below are skipped (the level sweep still runs it).
@@ -93,16 +90,14 @@ def test_plan_throughput(scale):
             f"level {level} compiled without exercising the IR verifier"
         )
 
-    # Correctness first: at the same tile, O1..O3 run the same ufunc
-    # sequences — bitwise identical (``same_tile`` runs the O2 program at
-    # O3's tile).  Across tiles the
-    # float stem conv's BLAS reduction order varies (the auto-tile
-    # heuristic's long-standing caveat), so predictions are the invariant.
+    # Correctness first: at the same heuristic tile, O1 and O2 run the same
+    # ufunc sequences — bitwise identical.  Across tiles the float stem
+    # conv's BLAS reduction order varies (the auto-tile heuristic's
+    # long-standing caveat), so predictions are the invariant.
     x = np.stack([loader.dataset[i][0] for i in range(min(24, images))])
-    np.testing.assert_array_equal(planned.run(x), same_tile.run(x))
-    np.testing.assert_array_equal(executors["O1"].run(x), executors["O2"].run(x))
+    np.testing.assert_array_equal(executors["O1"].run(x), planned.run(x))
     preds = executors["O0"].run(x).argmax(axis=1)
-    for level in ("O1", "O2", "O3", "O4"):
+    for level in ("O1", "O2", "O4"):
         np.testing.assert_array_equal(
             executors[level].run(x).argmax(axis=1), preds, err_msg=level
         )
@@ -128,9 +123,9 @@ def test_plan_throughput(scale):
         f"optimization levels disagree on predictions: {accuracies}"
     )
 
-    # Snapshot the O3 pipeline report now: the serial shard-baseline below
+    # Snapshot the O2 pipeline report now: the serial shard-baseline below
     # rebinds the same program and would otherwise overwrite the report's
-    # schedule/tune entries with its own (1-shard) configuration.
+    # schedule entry with its own (1-shard) configuration.
     import copy
 
     pipeline_report = copy.deepcopy(planned.program.pipeline_report)
@@ -170,12 +165,10 @@ def test_plan_throughput(scale):
             }
             for level in OPT_LEVELS
         },
-        # Full autotune decisions (with candidate timings) live inside
-        # "plan"; the pipeline report carries the slim replayable winners.
         "pipeline": pipeline_report,
         "o4": {
             "backend": native.backend,
-            "speedup_vs_o3": round(seconds["O3"] / seconds["O4"], 2),
+            "speedup_vs_o2": round(seconds["O2"] / seconds["O4"], 2),
             "native": (native.plan_info or {}).get("native"),
             "fallback_reason": (native.program.pipeline_report or {}).get(
                 "fallback_reason"
@@ -183,7 +176,7 @@ def test_plan_throughput(scale):
         },
         "arena_bytes": int(planned.plan_info["arena_bytes"]),
         "shard_speedup": round(shard_speedup, 2) if shard_speedup else None,
-        "accuracy": round(float(accuracies["O3"]), 4),
+        "accuracy": round(float(accuracies["O2"]), 4),
     }
     save_bench_record(BENCH_PATH, record, merge=False)
     print()
@@ -195,9 +188,9 @@ def test_plan_throughput(scale):
             f"over serial on {cpus} CPUs (target {SHARD_TARGET}x)"
         )
     if o4_native:
-        o4_speedup = seconds["O3"] / seconds["O4"]
+        o4_speedup = seconds["O2"] / seconds["O4"]
         assert o4_speedup >= O4_TARGET, (
-            f"native O4 executor is only {o4_speedup:.2f}x over the O3 plan "
+            f"native O4 executor is only {o4_speedup:.2f}x over the O2 plan "
             f"executor (target {O4_TARGET}x)"
         )
 

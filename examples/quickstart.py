@@ -6,10 +6,10 @@ This walks the full pipeline of the paper on a laptop-sized problem:
 2. compress it with a shared z-dimension weight pool (paper §3),
 3. fine-tune the pool-index assignment (paper Figure 2),
 4. compile it through the pass-manager pipeline (calibrate → lower → graph
-   passes → memory plan → autotune; the 8-bit build runs at level O3 and
-   prints the pipeline report — passes run, ops before/after, arena bytes,
-   autotune picks) and execute it with the bit-serial graph executor at
-   8-bit and 4-bit activations (paper §3.1–3.3),
+   passes → memory plan; the 8-bit build runs at level O2 and prints the
+   pipeline report — passes run, ops before/after, arena bytes) and
+   execute it with the bit-serial graph executor at 8-bit and 4-bit
+   activations (paper §3.1–3.3),
 5. report compression ratio, accuracy, and estimated microcontroller latency.
 
 Run with:  python examples/quickstart.py          (full demo)
@@ -95,9 +95,7 @@ def main(seed: int = 0, fast: bool = False) -> None:
                 activation_bitwidth=act_bits,
                 lut_bitwidth=8,
                 calibration_batches=2,
-                # The 8-bit deployment build compiles at the top pipeline
-                # level: graph passes + arena plan + kernel autotuning.
-                opt_level="O3" if act_bits == 8 else "O2",
+                opt_level="O2",  # graph passes + arena plan
             ),
         )
         engine.calibrate(train_loader)

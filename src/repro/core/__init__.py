@@ -31,8 +31,8 @@ Whole-network compilation (the graph pipeline):
   IR and execute it batch-wise through a multi-backend :class:`Executor`
   (``plan`` / ``reference`` / MCU ``cost``).
 * :mod:`repro.core.pipeline` — the pass-manager pipeline: registered
-  optimization passes at ordered levels (``O0``–``O3``), an IR verifier,
-  and the ``O3`` compile-time kernel autotuner.
+  optimization passes at ordered levels (``O0``, ``O1``, ``O2``, ``O4``)
+  and an IR verifier.
 * :func:`repro.core.export.save_program` / ``load_program`` — the compiled
   program as a serializable deployment artifact.
 
@@ -85,7 +85,6 @@ from repro.core.pipeline import (
     PassManager,
     PipelineReport,
     VerificationError,
-    autotune_schedule,
     dedupe_quantize,
     fold_activation_into_quantize,
     fold_batchnorm,
@@ -183,7 +182,6 @@ __all__ = [
     "ProgramOp",
     "ShardRuntime",
     "VerificationError",
-    "autotune_schedule",
     "compile_execution_plan",
     "compile_network",
     "dedupe_quantize",

@@ -29,7 +29,7 @@ guarantee of the ``native`` backend depends on it.  Value-changing flags
 cache key carries no ISA, so neither belongs here.
 
 Hosts without a compiler raise :class:`NoCompilerError`; the executor
-catches it and falls back to the plan backend (O4 → effective O3) with a
+catches it and falls back to the plan backend (O4 → effective O2) with a
 surfaced ``fallback_reason``.
 """
 

@@ -5,9 +5,7 @@ time — the bound schedule (``Executor._bind_plan``'s steps, carrying the
 compiled kernel plans) and the
 :class:`~repro.core.memory_plan.ExecutionPlan` (fused steps, static arena
 offsets, buffer specs) — and lowers the native-eligible portion to portable
-C99.  It reads no autotuner decision (a plan's ``tap_gather`` picks between
-two NumPy schedules; the C has its own stage-2 loop), so the executor
-tunes only the steps left on NumPy.  Nothing is re-derived: arena offsets
+C99, with a stage-2 tap loop of its own.  Nothing is re-derived: arena offsets
 are baked into the source as integer constants, each fused chain becomes
 one per-sample loop nest, and
 every per-layer constant (bit-weighted sub-tables, stage-2 gather columns,
@@ -132,9 +130,6 @@ class EmittedProgram:
     # plus one ``repro_seg_k`` (segments share nothing else), so the build
     # driver compiles them as separate translation units in parallel.
     units: List[str] = field(default_factory=list)
-    # Indices into the bound schedule of the steps the segments run: the
-    # NumPy kernels of these steps never execute on the native backend.
-    lowered: List[int] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
     entry: Optional[str] = None  # standalone entry point name
 
@@ -445,12 +440,6 @@ class Emitter:
             consts=self.consts.bytes(),
             segments=specs,
             units=[] if self.standalone else [header + text for text in fns],
-            lowered=[
-                index
-                for start, stop in segments
-                for first, last in self.groups[start:stop]
-                for index in range(first, last + 1)
-            ],
             scratch_bytes=self.scratch.peak,
             counters=counters,
             entry=entry,

@@ -62,9 +62,8 @@ class EngineConfig:
     calibration_batches: int = 4
     active_bits: Optional[int] = None  # early termination (MSB-first truncation)
     # Pipeline optimization level of compile/predict/evaluate (one of
-    # repro.core.pipeline.OPT_LEVELS).  "O3" additionally autotunes kernel
-    # variants and tile/shard choices at compile time (bitwise-identical
-    # outputs); "O4" runs native C segments where the host can build them.
+    # repro.core.pipeline.OPT_LEVELS).  "O4" runs native C segments where
+    # the host can build them.
     opt_level: str = "O2"
 
     def __post_init__(self) -> None:

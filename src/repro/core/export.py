@@ -30,7 +30,7 @@ deployment artifact:
   per-pass reports (``pipeline``/``opt_level``), and — when an
   ahead-of-time :class:`~repro.core.program.Executor` was built before
   saving — the planner's ``execution_plan`` counters: arena bytes, steps
-  fused, shard count, autotune decisions) without touching the arrays, so
+  fused, shard count) without touching the arrays, so
   model repositories can list artifacts cheaply.  Execution plans themselves are *derived* state:
   :func:`load_program` reconstructs the IR and the next executor re-plans
   it, bitwise-identically to the original (covered by the planner's
@@ -346,7 +346,33 @@ def _program_header(path: Path, data) -> Dict:
             f"this build reads version(s) {supported}; re-export the program "
             "with the matching repro version"
         )
+    for record in (meta, meta.get("metadata") or {}):
+        retire_o3(record)
     return meta
+
+
+def retire_o3(record: Dict) -> None:
+    """Read a header written while ``O3`` was a level as the ``O2`` plan.
+
+    ``O3`` added an empirical kernel autotuner whose candidates were all
+    bitwise-identical to the ``O2`` schedule; it is no longer a level.  An
+    ``opt_level``/``pipeline.level`` of ``"O3"``, and an O4 fallback's
+    ``effective_level: "O3"``, map to ``"O2"``, and the recorded
+    ``autotune`` pass entry is dropped (a bind never reads it).  Every
+    reader of a recorded header goes through here: the artifact loader and
+    a model repository's ``metadata.json`` sidecar.
+    """
+    if record.get("opt_level") == "O3":
+        record["opt_level"] = "O2"
+    pipeline = record.get("pipeline")
+    if not isinstance(pipeline, dict):
+        return
+    for key in ("level", "effective_level"):
+        if pipeline.get(key) == "O3":
+            pipeline[key] = "O2"
+    pipeline["passes"] = [
+        entry for entry in pipeline.get("passes", []) if entry.get("name") != "autotune"
+    ]
 
 
 def _encode_attrs(attrs: Dict, prefix: str, arrays: Dict[str, np.ndarray]) -> Dict:

@@ -183,16 +183,6 @@ class ConvKernelPlan:
     # direct-mode gather rows (hoisted out of ``_pool_partials``, which used
     # to rebuild this arange on every batch).
     row_offsets: Optional[np.ndarray] = None
-    # Stage-2 schedule: "fused" gathers every kernel position's columns in
-    # one wide ``np.take`` per channel group (fewest kernel launches);
-    # "per_tap" gathers one kernel position at a time into a small buffer
-    # that stays cache-hot across the strided adds.  The
-    # accumulation order over (group, tap) is identical, so both schedules
-    # produce bitwise-equal results; the ahead-of-time execution planner
-    # (which fixes the micro-batch tile and supplies reusable scratch at
-    # compile time — the regime where the narrow gather measures fastest)
-    # selects "per_tap" for the plans it manages.
-    tap_gather: str = "fused"
 
     @property
     def encoder(self) -> str:
@@ -481,58 +471,31 @@ class ConvKernelPlan:
         Each tap adds its in-bounds window region directly; the contribution
         of taps that fall into the padding is the precomputed (batch-
         independent) :meth:`_border_tensor`, added in one pass at the end.
+        One narrow gather per (group, kernel position): the ``(N, H·W, F)``
+        column buffer stays cache-resident across the strided adds.
         """
         groups, n, h, w, _ = pv.shape
         kh, kw = self.kernel
         f = self.num_filters
         acc = scratch_buf(scratch_dict, "tap_acc", (n, oh, ow, f), self.acc_dtype)
         acc.fill(0)
-        if self.tap_gather == "per_tap":
-            # One narrow gather per (group, kernel position): the (N, H·W, F)
-            # column buffer stays cache-resident across the strided adds,
-            # which measures faster than the wide gather at the planner's
-            # fixed micro-batch tiles.  Same (g, k) accumulation order as the
-            # fused schedule — bitwise-equal results.
-            cols = scratch_buf(scratch_dict, "tap_col", (n, h * w, f), pv.dtype)
-            image = cols.reshape(n, h, w, f)
-            for g in range(groups):
-                flat = pv[g].reshape(n, h * w, -1)
-                for k in range(kh * kw):
-                    ki, kj = divmod(k, kw)
-                    y0, y1, x0, x1 = self._tap_bounds(ki, kj, h, w, oh, ow, stride)
-                    if y0 >= y1 or x0 >= x1:
-                        continue
-                    np.take(
-                        flat, self.group_cols[g, k * f : (k + 1) * f], axis=-1, out=cols
-                    )
-                    ys = y0 * stride + ki - self.padding
-                    xs = x0 * stride + kj - self.padding
-                    acc[:, y0:y1, x0:x1] += image[
-                        :,
-                        ys : ys + (y1 - y0) * stride : stride,
-                        xs : xs + (x1 - x0) * stride : stride,
-                    ]
-        else:
-            # One gather per channel group covering every kernel position at
-            # once (the per-tap loop then adds strided views) — KH·KW× fewer
-            # kernel launches; the default outside the ahead-of-time plan.
-            scratch = scratch_buf(scratch_dict, "tap_cols", (n, h * w, kh * kw * f), pv.dtype)
-            taps = scratch.reshape(n, h, w, kh * kw, f)
-            for g in range(groups):
-                flat = pv[g].reshape(n, h * w, -1)
-                np.take(flat, self.group_cols[g], axis=-1, out=scratch)
-                for k in range(kh * kw):
-                    ki, kj = divmod(k, kw)
-                    y0, y1, x0, x1 = self._tap_bounds(ki, kj, h, w, oh, ow, stride)
-                    if y0 < y1 and x0 < x1:
-                        ys = y0 * stride + ki - self.padding
-                        xs = x0 * stride + kj - self.padding
-                        acc[:, y0:y1, x0:x1] += taps[
-                            :,
-                            ys : ys + (y1 - y0) * stride : stride,
-                            xs : xs + (x1 - x0) * stride : stride,
-                            k,
-                        ]
+        cols = scratch_buf(scratch_dict, "tap_col", (n, h * w, f), pv.dtype)
+        image = cols.reshape(n, h, w, f)
+        for g in range(groups):
+            flat = pv[g].reshape(n, h * w, -1)
+            for k in range(kh * kw):
+                ki, kj = divmod(k, kw)
+                y0, y1, x0, x1 = self._tap_bounds(ki, kj, h, w, oh, ow, stride)
+                if y0 >= y1 or x0 >= x1:
+                    continue
+                np.take(flat, self.group_cols[g, k * f : (k + 1) * f], axis=-1, out=cols)
+                ys = y0 * stride + ki - self.padding
+                xs = x0 * stride + kj - self.padding
+                acc[:, y0:y1, x0:x1] += image[
+                    :,
+                    ys : ys + (y1 - y0) * stride : stride,
+                    xs : xs + (x1 - x0) * stride : stride,
+                ]
         if self.padding:
             acc += self._border_tensor(h, w, oh, ow, stride, bit_positions)[None]
         return acc.transpose(0, 3, 1, 2)

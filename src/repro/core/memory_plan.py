@@ -684,7 +684,7 @@ def compile_execution_plan(program, steps, tile: int, active_bits=None) -> Execu
     )
 
     out_spec = specs[program.output_id]
-    _specialize_kernel_plans(steps, active_bits)
+    _precompute_border_tensors(steps, active_bits)
     plan = ExecutionPlan(
         steps=plan_steps,
         tile=tile,
@@ -710,25 +710,16 @@ def compile_execution_plan(program, steps, tile: int, active_bits=None) -> Execu
     return plan
 
 
-def _specialize_kernel_plans(steps, active_bits) -> None:
-    """Retarget this schedule's kernel plans at the planned runtime.
-
-    Two compile-time decisions: switch stage 2 to the per-tap gather (the
-    narrow column buffer lives in shard scratch and stays cache-hot at the
-    plan's fixed tile — see ``ConvKernelPlan.tap_gather``; bitwise-equal
-    accumulation order), and precompute the hoisted-padding border tensors
-    so shard workers never race to derive the same constants.  The plans
-    are private to this executor's bind.
+def _precompute_border_tensors(steps, active_bits) -> None:
+    """Precompute the hoisted-padding border tensors of this schedule's
+    kernel plans, so shard workers never race to derive the same constants.
+    The plans are private to this executor's bind.
     """
     for step in steps:
         plan = getattr(step, "plan", None)
         if plan is None:
             continue
         conv_plan = getattr(plan, "conv_plan", plan)
-        if not getattr(conv_plan, "_autotuned", False):
-            # The heuristic defaults (O2); the O3 autotuner measured its own
-            # winners and marked the plan — leave those alone.
-            conv_plan.tap_gather = "per_tap"
         if not (conv_plan.hoist_padding and conv_plan.padding):
             continue
         op = step.op

@@ -3,17 +3,15 @@
 PRs 1–4 grew four layers of execution machinery (per-layer kernel plans, the
 graph IR, ahead-of-time memory plans, serving), but the glue between them was
 ad-hoc: :func:`~repro.core.program.compile_network` hard-coded two pass
-calls, kernel-variant choices (fused vs per-tap gather, tile size, shard
-count) were baked-in heuristics, and nothing verified the IR
-between transformations.  This module organizes all of it the way production
-ML compilers do — as a *pass pipeline* with verification and empirical
-tuning:
+calls and nothing verified the IR between transformations.  This module
+organizes it the way production ML compilers do — as a *pass pipeline*
+with verification:
 
 * :class:`Pass` / :data:`PASS_REGISTRY` — every transformation is a
   registered, typed pass with a ``stage`` (``graph`` rewrites the IR,
-  ``schedule`` compiles the bound step schedule, ``tune`` picks kernel
-  variants empirically) and the first optimization :data:`level
-  <OPT_LEVELS>` that enables it.
+  ``schedule`` compiles the bound step schedule, ``codegen`` lowers it to
+  native code) and the first optimization :data:`level <OPT_LEVELS>` that
+  enables it.
 * :class:`PassManager` — validates level/pass selections (unknown names
   raise, listing the valid choices), runs the graph stage in registration
   order, and produces a :class:`PipelineReport` (per-pass counters, op
@@ -23,24 +21,20 @@ tuning:
 * **Optimization levels** — ``O0`` is the reference lowering (on the
   ``reference`` backend, the oracle), ``O1`` adds the graph passes (BatchNorm fold,
   requantize fusion, quantize CSE, activation-clip fold), ``O2`` adds the
-  ahead-of-time fusion/arena memory plan, and ``O3`` adds compile-time
-  kernel autotuning.  Every level produces the same predictions — the graph
-  passes change only the float association of epilogues (documented ~1e-12
-  relative tolerance); kernel-variant and shard choices at the
-  schedule/tune stages are bitwise identical by construction, and the tile
-  choice carries exactly the auto-tile heuristic's long-standing caveat
-  (the float stem conv's BLAS reduction order varies with batch tile).
+  ahead-of-time fusion/arena memory plan, and ``O4`` adds native C
+  codegen of the planned schedule.  Every level produces the same
+  predictions — the graph passes change only the float association of
+  epilogues (documented ~1e-12 relative tolerance); the schedule's shard
+  count is bitwise-invariant by construction, and the heuristic tile
+  carries one caveat (the float stem conv's BLAS reduction order varies
+  with batch tile).  The level name ``O3`` (a retired empirical kernel
+  autotuner whose candidates were all bitwise-identical to the ``O2``
+  schedule) is no longer accepted; artifacts saved at it load as ``O2``.
 * :func:`verify_program` — an IR verifier (SSA/def-before-use, shape and
   dtype propagation, single-consumer epilogue claims) run between passes in
   debug mode (``debug=True`` or ``REPRO_PIPELINE_DEBUG=1``) and once at
   pipeline exit always, so a broken pass fails at compile time with the
   offending op named instead of deep inside a kernel.
-* :func:`autotune_schedule` — the ``O3`` empirical tuner: micro-benchmarks
-  candidate kernel specializations (the stage-2 tap gather schedule),
-  micro-batch tile sizes and shard counts on synthetic inputs at
-  compile time, picks winners per layer, and records every decision in the
-  pipeline report.  All candidates are bitwise-identical (the tuner asserts
-  it on the spot), so tuning can never change outputs — only speed.
 
 The four graph passes lived in :mod:`repro.core.program` through PR 4; they
 moved here with identical semantics and are re-exported from
@@ -50,10 +44,9 @@ moved here with identical semantics and are re-exported from
 from __future__ import annotations
 
 import os
-import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,15 +59,14 @@ from repro.quantization.quantizer import QuantParams
 #: Ordered optimization levels.  Each level enables every pass of the levels
 #: below it; the docs table in ``docs/ARCHITECTURE.md`` §3 names what each
 #: adds (a docs test keeps the two in sync).
-OPT_LEVELS: Tuple[str, ...] = ("O0", "O1", "O2", "O3", "O4")
+OPT_LEVELS: Tuple[str, ...] = ("O0", "O1", "O2", "O4")
 
 #: Pipeline stages, in execution order.  ``graph`` passes rewrite the IR
 #: (run by :meth:`PassManager.run`), ``schedule`` passes compile the bound
-#: step schedule, ``tune`` passes pick kernel variants empirically, and
-#: ``codegen`` passes lower the planned schedule to native code (all three
-#: non-graph stages run when the :class:`~repro.core.program.Executor` binds
-#: the program).
-PASS_STAGES: Tuple[str, ...] = ("graph", "schedule", "tune", "codegen")
+#: step schedule, and ``codegen`` passes lower the planned schedule to
+#: native code (both non-graph stages run when the
+#: :class:`~repro.core.program.Executor` binds the program).
+PASS_STAGES: Tuple[str, ...] = ("graph", "schedule", "codegen")
 
 
 def _level_index(level: str) -> int:
@@ -99,7 +91,7 @@ class Pass:
     """One registered compiler pass.
 
     ``fn(program) -> Dict[str, int]`` applies a *graph*-stage pass and
-    returns its report counters; schedule/tune passes are registered for
+    returns its report counters; schedule/codegen passes are registered for
     reporting and level-gating but execute inside the executor bind (their
     ``fn`` is ``None``).  ``counters`` names the report keys the pass emits
     (documented per pass in ``docs/ARCHITECTURE.md``).
@@ -374,11 +366,6 @@ register_pass(Pass(
     counters=("arena_bytes", "peak_live_bytes", "steps", "steps_fused", "fused_chains", "tile"),
 ))
 register_pass(Pass(
-    name="autotune", stage="tune", level="O3",
-    rewrites="micro-benchmarks kernel specializations (tap gather) and tile/shard choices, picks winners per layer",
-    counters=("layers_tuned", "trials", "tile", "n_shards"),
-))
-register_pass(Pass(
     name="codegen", stage="codegen", level="O4",
     rewrites="lowers the planned schedule's native-eligible steps to C99, compiles them into a cached shared library, and executes them via ctypes",
     counters=("segments", "native_steps", "steps", "cache_hit", "source_bytes"),
@@ -629,7 +616,7 @@ class PipelineReport:
 
 
 def record_stage_report(program, report: Dict[str, Any]) -> None:
-    """Merge a schedule/tune-stage pass report into the program's pipeline
+    """Merge a schedule/codegen-stage pass report into the program's pipeline
     report (replacing a previous report of the same pass, so repeated
     executor binds never duplicate entries)."""
     pipeline = program.pipeline_report
@@ -643,46 +630,13 @@ def record_stage_report(program, report: Dict[str, Any]) -> None:
     passes.append(report)
 
 
-def persistable_autotune(decisions: Dict[str, Any]) -> Dict[str, Any]:
-    """The replayable core of an autotune decisions dict.
-
-    Only the per-layer tap-gather winners persist — they are program
-    properties, identical on any host, and identical whatever tile/shard
-    overrides a particular bind used (so a later bind recording its report
-    never changes them).  Tile and shard picks are host properties and stay
-    out of artifacts: the per-candidate timings live on the executor's
-    ``plan_info`` and in bench records, where they were measured.
-    """
-    return {
-        "layers": {
-            key: {"tap_gather": pick["tap_gather"]}
-            for key, pick in decisions["layers"].items()
-        },
-    }
-
-
-def recorded_autotune(program) -> Optional[Dict[str, Any]]:
-    """The decisions of the program's recorded ``autotune`` pass, if any.
-
-    Stored by the executor in the pipeline report (and therefore in saved
-    artifact headers), so a later bind replays them instead of re-tuning.
-    """
-    pipeline = program.pipeline_report
-    if not pipeline:
-        return None
-    for entry in pipeline.get("passes", []):
-        if entry.get("name") == "autotune":
-            return entry.get("decisions")
-    return None
-
-
 def format_pipeline_report(program) -> str:
     """Human-readable pipeline report of a compiled program.
 
-    One line per pass (graph, schedule and tune stages), plus the verifier
-    tally and — when an executor has bound the program — the memory plan's
-    arena size and the autotuner's per-layer picks.  This is what
-    ``examples/quickstart.py`` prints after compiling.
+    One line per pass (graph, schedule and codegen stages), plus the
+    verifier tally and — when an executor has bound the program — the
+    memory plan's arena size.  This is what ``examples/quickstart.py``
+    prints after compiling.
     """
     pipeline = program.pipeline_report
     if pipeline is None:
@@ -702,17 +656,6 @@ def format_pipeline_report(program) -> str:
             f"    arena {plan['arena_bytes'] / 1024:.0f} KiB, "
             f"{plan['steps']} steps ({plan['steps_fused']} fused away), "
             f"tile {plan['tile']}"
-        )
-    tuned = plan.get("autotune") or {}
-    for layer, pick in tuned.get("layers", {}).items():
-        lines.append(
-            f"    autotune {layer}: gather={pick['tap_gather']} "
-            f"encoder={pick['encoder']}"
-        )
-    if tuned:
-        lines.append(
-            f"    autotune tile={tuned['tile']['chosen']} "
-            f"shards={tuned['n_shards']['chosen']} ({tuned['trials']} trials)"
         )
     return "\n".join(lines)
 
@@ -760,7 +703,7 @@ class PassManager:
             if not_graph:
                 raise ValueError(
                     f"pass(es) {not_graph} are not graph-stage passes and "
-                    "cannot be selected explicitly; schedule/tune stages are "
+                    "cannot be selected explicitly; schedule/codegen stages are "
                     "driven by the optimization level "
                     f"({', '.join(OPT_LEVELS)})"
                 )
@@ -789,7 +732,7 @@ class PassManager:
         the verifier runs on both.  The report — and the level — are
         attached to the program (``program.opt_level``,
         ``program.pipeline_report``); the executor appends its
-        schedule/tune-stage reports to the same record when it binds.
+        schedule/codegen-stage reports to the same record when it binds.
         """
         report = PipelineReport(
             level=self.level, ops_before=len(program.ops), debug=self.debug
@@ -804,10 +747,10 @@ class PassManager:
 
             if find_compiler() is None:
                 report.fallback_reason = "no_compiler"
-                report.effective_level = "O3"
+                report.effective_level = "O2"
                 warnings.warn(
                     "O4 requested but no C compiler found; compiling at the "
-                    "effective level O3 (plan backend). Install gcc/cc to "
+                    "effective level O2 (plan backend). Install gcc/cc to "
                     "enable the native backend.",
                     RuntimeWarning,
                     stacklevel=2,
@@ -837,269 +780,3 @@ class PassManager:
         program.opt_level = self.level
         program.pipeline_report = report.to_dict()
         return report
-
-
-# ---------------------------------------------------------------------------
-# O3: compile-time kernel autotuning
-# ---------------------------------------------------------------------------
-def _synthetic_input(op, conv_plan, n: int, rng) -> np.ndarray:
-    """A validated synthetic activation batch for one bit-serial step."""
-    dtype = np.uint8 if conv_plan.act_bitwidth <= 8 else np.uint16
-    if op.kind == "bitserial_linear":
-        shape = (n, conv_plan.in_channels)
-    else:
-        shape = (n, conv_plan.in_channels) + tuple(op.in_shape[1:])
-    return rng.integers(0, 1 << conv_plan.act_bitwidth, size=shape, dtype=dtype)
-
-
-def _time_call(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _step_decision_keys(tuned_steps) -> List[str]:
-    """Stable per-step decision keys: the op name, index-disambiguated."""
-    keys: List[str] = []
-    seen: set = set()
-    for index, step in enumerate(tuned_steps):
-        name = step.op.name or f"step{index}"
-        key = name if name not in seen else f"{name}#{index}"
-        seen.add(key)
-        keys.append(key)
-    return keys
-
-
-def _reuse_recorded_decisions(
-    tuned_steps,
-    keys: List[str],
-    recorded: Dict[str, Any],
-    default_tile: int,
-    tune_shards: bool,
-    fixed_shards: Optional[int],
-) -> Dict[str, Any]:
-    """Apply a previous bind's recorded kernel winners instead of
-    re-benchmarking.
-
-    Only the per-layer kernel winners replay — they are properties of the
-    *program* (indices, geometry, LUT).  The tile and shard choices are
-    properties of the *host*, so a replayed bind keeps the caller's/
-    backend-heuristic tile and the per-core shard default instead of
-    whatever the tuning machine measured (an artifact tuned on a 1-CPU CI
-    box must not pin a 16-core server to one shard, nor vice versa).
-    Re-binding a tuned program — a serving worker loading an artifact, a
-    respawn, a second executor — is therefore deterministic per host and
-    pays no timing runs.
-    """
-    layers = {}
-    for key, step in zip(keys, tuned_steps):
-        conv_plan = getattr(step.plan, "conv_plan", step.plan)
-        # Older artifact headers also record an "encoder" pick; the encoder
-        # now follows from the plan's geometry, so that key is ignored.
-        conv_plan.tap_gather = recorded["layers"][key]["tap_gather"]
-        conv_plan._autotuned = True
-        layers[key] = {"tap_gather": conv_plan.tap_gather, "encoder": conv_plan.encoder}
-    cpus = os.cpu_count() or 1
-    default_shards = 1 if cpus < 2 else min(cpus, 8)
-    if tune_shards:
-        shards = {"chosen": int(default_shards), "basis": "per-core"}
-    else:
-        chosen = fixed_shards if fixed_shards is not None else default_shards
-        shards = {"chosen": int(chosen), "basis": "fixed"}
-    return {
-        "layers": layers,
-        "layers_tuned": len(keys),
-        "trials": 0,
-        "reused": True,
-        "tile": {"chosen": int(default_tile), "basis": "heuristic"},
-        "n_shards": shards,
-    }
-
-
-def autotune_schedule(
-    program,
-    steps,
-    default_tile: int,
-    active_bits: Optional[int] = None,
-    tune_tile: bool = True,
-    tune_shards: bool = True,
-    fixed_shards: Optional[int] = None,
-    recorded: Optional[Dict[str, Any]] = None,
-    lowered: Collection[int] = (),
-    reps: int = 2,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Empirically tune the bound schedule's kernel plans (the ``O3`` pass).
-
-    For every bit-serial step, micro-benchmarks the candidate stage-2
-    tap-gather schedules (``fused`` wide gather vs ``per_tap`` narrow
-    cache-hot gather, hoisted convolutions only) on synthetic in-range
-    activations, applies each layer's winner to its (executor-private) plan,
-    and marks the plan tuned so the heuristic specialization pass leaves it
-    alone.  Then sweeps micro-batch tile candidates around ``default_tile``
-    (whole-schedule per-image cost) and measures thread-scaling of the most
-    expensive step to pick the shard count.
-
-    Every kernel candidate computes the exact same accumulation order, so
-    results are bitwise identical across choices — asserted on the spot
-    during tuning — and shard counts are bitwise-invariant by the planner's
-    whole-tile splitting; the tile choice only affects the float convs'
-    BLAS reduction order, the same caveat the heuristic auto-tile always
-    carried.  Tuning can therefore never change predictions.
-
-    A native (O4) bind passes ``lowered``: the indices into ``steps`` of the
-    steps its emitted C runs.  The C never reads a kernel plan's tap
-    gather, so those steps are not timed, and their kernels never run, so
-    the tile is not swept — the emitter has already baked the tile's arena
-    offsets into the source, and a sweep would time NumPy work that does
-    not happen.  The shard count follows the core count (the segments run
-    with the GIL released).  Only the steps left on NumPy are tuned; a bind
-    that falls back to the plan backend calls this without ``lowered`` and
-    tunes exactly as O3.
-
-    Returns a JSON-able decisions dict (per-layer winners with measured
-    per-candidate times, the tile sweep, the shard decision, and the total
-    trial count) that the executor surfaces through ``plan_info`` and
-    persists — with the per-layer winners — in the pipeline report, so a
-    later bind of the same program (``recorded=`` that report's decisions)
-    replays the winners deterministically instead of re-benchmarking.
-    """
-    rng = np.random.default_rng(seed)
-    decisions: Dict[str, Any] = {"layers": {}, "trials": 0}
-    kernel = [(i, s) for i, s in enumerate(steps) if getattr(s, "plan", None) is not None]
-    # Keys over every kernel step, so they match whichever subset is tuned.
-    keyed = zip(_step_decision_keys([s for _, s in kernel]), kernel)
-    skip = set(lowered)
-    pairs = [(key, step) for key, (i, step) in keyed if i not in skip]
-    keys = [key for key, _ in pairs]
-    tuned_steps = [step for _, step in pairs]
-    if skip:
-        tune_tile = False
-    if recorded and all(key in (recorded.get("layers") or {}) for key in keys):
-        return _reuse_recorded_decisions(
-            tuned_steps, keys, recorded, default_tile, tune_shards, fixed_shards,
-        )
-
-    bench_n = max(1, min(int(default_tile), 8))
-    step_costs: List[Tuple[float, Any, np.ndarray]] = []
-    for index, step in enumerate(tuned_steps):
-        plan = step.plan
-        conv_plan = getattr(plan, "conv_plan", plan)
-        op = step.op
-        x = _synthetic_input(op, conv_plan, bench_n, rng)
-        gathers = ["fused", "per_tap"] if conv_plan.hoist_padding else [conv_plan.tap_gather]
-        timings: Dict[str, float] = {}
-        baseline = None
-        best = None
-        for gather in gathers:
-            conv_plan.tap_gather = gather
-            scratch: dict = {}
-            call = lambda: plan(  # noqa: E731 - tight benchmark closure
-                x, active_bits=active_bits, validated=True, scratch=scratch
-            )
-            out = call()  # warm-up (allocates scratch, caches borders)
-            # The invariant autotuning rests on: every candidate is
-            # bitwise identical.  Check it right here, per layer.
-            if baseline is None:
-                baseline = np.array(out, copy=True)
-            else:
-                np.testing.assert_array_equal(out, baseline)
-            elapsed = _time_call(call, reps)
-            timings[gather] = elapsed
-            decisions["trials"] += 1 + reps
-            if best is None or elapsed < best[0]:
-                best = (elapsed, gather)
-        conv_plan.tap_gather = best[1]
-        conv_plan._autotuned = True
-        decisions["layers"][keys[index]] = {
-            "kind": op.kind,
-            "tap_gather": best[1],
-            "encoder": conv_plan.encoder,
-            "candidate_ms": {k: round(v * 1e3, 4) for k, v in timings.items()},
-        }
-        step_costs.append((best[0], step, x))
-
-    # -- tile sweep: whole-schedule per-image cost at each candidate ---------
-    chosen_tile = int(default_tile)
-    tile_sweep: Dict[str, float] = {}
-    if tune_tile and tuned_steps:
-        candidates = sorted({max(1, default_tile // 2), int(default_tile),
-                             min(64, default_tile * 2)})
-        best_tile = None
-        for tile in candidates:
-            total = 0.0
-            for _, step, _x in step_costs:
-                plan = step.plan
-                conv_plan = getattr(plan, "conv_plan", plan)
-                x = _synthetic_input(step.op, conv_plan, tile, rng)
-                scratch: dict = {}
-                call = lambda: plan(  # noqa: E731
-                    x, active_bits=active_bits, validated=True, scratch=scratch
-                )
-                call()  # warm-up at this tile
-                total += _time_call(call, 1)
-                decisions["trials"] += 2
-            per_image = total / tile
-            tile_sweep[str(tile)] = round(per_image * 1e3, 4)
-            if best_tile is None or per_image < best_tile[0]:
-                best_tile = (per_image, tile)
-        chosen_tile = best_tile[1]
-    decisions["tile"] = {"chosen": int(chosen_tile), "candidate_ms_per_image": tile_sweep}
-    if int(chosen_tile) != int(default_tile) and any(
-        step.op is not None and step.op.kind in ("conv", "linear") for step in steps
-    ):
-        # Honest numerics surfacing: kernel-variant and shard winners are
-        # bitwise-invariant, but a retuned *tile* re-chunks the float
-        # conv/linear steps and therefore reorders their BLAS reductions.
-        # Flag it in the decisions (and thus plan_info["autotune"]) instead
-        # of leaving the caveat to a docs footnote.
-        decisions["numerics"] = "tile_reorder"
-
-    # -- shard decision: thread-scaling of the most expensive step -----------
-    cpus = os.cpu_count() or 1
-    default_shards = 1 if cpus < 2 else min(cpus, 8)
-    if not tune_shards:
-        # The caller fixed the shard count; record what actually runs.
-        chosen = fixed_shards if fixed_shards is not None else default_shards
-        shards = {"chosen": int(chosen), "basis": "fixed"}
-    elif skip:
-        shards = {"chosen": int(default_shards), "basis": "native"}
-    elif cpus < 2 or not step_costs:
-        shards = {"chosen": 1, "basis": "single-core"}
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _, step, x = max(step_costs, key=lambda item: item[0])
-        plan = step.plan
-        k = default_shards
-        scratches = [dict() for _ in range(k)]
-        calls = [
-            (lambda s=s: plan(x, active_bits=active_bits, validated=True, scratch=s))
-            for s in scratches
-        ]
-        for call in calls:
-            call()  # warm every scratch
-        start = time.perf_counter()
-        for call in calls:
-            call()
-        serial = time.perf_counter() - start
-        with ThreadPoolExecutor(max_workers=k) as threads:
-            start = time.perf_counter()
-            futures = [threads.submit(call) for call in calls]
-            for future in futures:
-                future.result()
-            parallel = time.perf_counter() - start
-        decisions["trials"] += 3 * k
-        scaling = serial / parallel if parallel > 0 else 1.0
-        chosen = default_shards if scaling >= 1.2 else 1
-        shards = {
-            "chosen": int(chosen),
-            "basis": "measured",
-            "thread_scaling": round(scaling, 2),
-        }
-    decisions["n_shards"] = shards
-    decisions["layers_tuned"] = len(decisions["layers"])
-    return decisions

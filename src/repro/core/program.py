@@ -21,8 +21,8 @@ optimizes it with graph-level passes, and runs it through a batched
 Optimization passes (rewrites that need more than one layer in view) live in
 :mod:`repro.core.pipeline` as *registered passes* run by a
 :class:`~repro.core.pipeline.PassManager` at an ordered optimization level
-(``O0`` reference lowering … ``O3`` autotuned); :func:`compile_network`
-drives the graph stage and the :class:`Executor` the schedule/tune stages.
+(``O0`` reference lowering … ``O4`` native codegen); :func:`compile_network`
+drives the graph stage and the :class:`Executor` the schedule/codegen stages.
 The pipeline's IR verifier runs between passes in debug mode and once at
 every compile exit.
 
@@ -60,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bitserial import bitserial_conv2d_reference, bitserial_linear_reference
+from repro.core.blas import single_threaded_blas
 from repro.core.graph import NetworkGraph, lower_model
 from repro.core.kernel_plan import compile_conv_plan, compile_linear_plan
 from repro.core.layers import WeightPoolConv2d, WeightPoolLinear
@@ -68,11 +69,8 @@ from repro.core.pipeline import (
     PassManager,
     _consumer_map,
     _require_bound,
-    autotune_schedule,
     level_enables,
-    persistable_autotune,
     record_stage_report,
-    recorded_autotune,
 )
 from repro.core.tracing import LayerTrace
 from repro.nn import Module
@@ -967,7 +965,6 @@ class Executor:
         # independently, so tiling is bit-exact.  ``None`` lets the backend
         # choose (the plan backend sizes it from the largest layer's stage-1
         # footprint); pass 0 to disable.
-        requested_tile = tile  # None = tunable by the O3 autotuner
         self.tile = tile
         self._steps = BACKENDS[backend](program, self, **options)
         # Reader counts: the interpreter drops each buffer after its last read.
@@ -977,35 +974,32 @@ class Executor:
                 self._refcounts[buf] = self._refcounts.get(buf, 0) + 1
 
         # -- ahead-of-time execution plan (arena + fused steps + shards) ----
-        # The schedule ("memory_plan") and tune ("autotune") pipeline stages
-        # run here, gated by the program's optimization level: O2 enables the
-        # arena plan, O3 additionally autotunes kernel variants and the
-        # tile/shard choices before planning.  A native bind tunes after
-        # codegen instead, and only the steps its C does not run.
-        level = program.effective_opt_level
+        # The schedule ("memory_plan") pipeline stage runs here, gated by the
+        # program's optimization level: O2 and higher plan the arena at the
+        # requested tile or the backend's heuristic one.
         planned = (
             backend in ("plan", "native")
             and program.bound
             and program.optimized
-            and level_enables(level, "O2")
+            and level_enables(program.effective_opt_level, "O2")
         )
-        tuned = planned and level_enables(level, "O3")
         self.exec_plan = None
         self._native = None  # NativeExecution after a successful O4 bind
         self.plan_info: Optional[Dict[str, Any]] = None
-        self.autotune: Optional[Dict[str, Any]] = None
         self._runtime_q: Optional[queue.LifoQueue] = None
         self._shard_threads = None
         self._shard_lock = threading.Lock()
         self.max_shards_used = 0
         active_bits = options.get("active_bits")
         if planned:
-            plan_tile = self.tile if self.tile else 64
-            if tuned and backend != "native":
-                plan_tile, n_shards = self._autotune(
-                    plan_tile, requested_tile, n_shards, active_bits
+            from repro.core.memory_plan import PlanUnsupported, compile_execution_plan
+
+            try:
+                self.exec_plan = compile_execution_plan(
+                    program, self._steps, tile=self.tile or 64, active_bits=active_bits
                 )
-            self.exec_plan = self._compile_plan(plan_tile, active_bits)
+            except PlanUnsupported:
+                pass  # the step interpreter runs the schedule instead
         # -- native (O4) codegen bind ----------------------------------------
         # The ``codegen`` pipeline stage runs here, after planning: the
         # native backend lowers the planned schedule's eligible steps to C,
@@ -1014,34 +1008,8 @@ class Executor:
         # with a surfaced ``fallback_reason`` — never silently.
         if backend == "native":
             self._bind_native(active_bits)
-            if tuned:
-                # Bound: time only the steps left on NumPy, at the tile the
-                # C was emitted for (so every bind of the program, a loading
-                # worker's too, emits the same source).  Fallen back: tune
-                # exactly as O3, then re-plan at the tuned tile.
-                lowered = self._native.emitted.lowered if self._native is not None else ()
-                tile, n_shards = self._autotune(
-                    plan_tile, requested_tile, n_shards, active_bits, lowered
-                )
-                if self.exec_plan is not None and tile != plan_tile:
-                    self.exec_plan = self._compile_plan(tile, active_bits)
         if self.exec_plan is not None:
-            # Record the tune/schedule/codegen stages only once they are live.
-            if self.autotune is not None:
-                record_stage_report(
-                    program,
-                    {
-                        "name": "autotune",
-                        "stage": "tune",
-                        "counters": {
-                            "layers_tuned": self.autotune["layers_tuned"],
-                            "trials": self.autotune["trials"],
-                            "tile": self.autotune["tile"]["chosen"],
-                            "n_shards": self.autotune["n_shards"]["chosen"],
-                        },
-                        "decisions": persistable_autotune(self.autotune),
-                    },
-                )
+            # Record the schedule/codegen stages only once they are live.
             record_stage_report(
                 program,
                 {
@@ -1074,47 +1042,9 @@ class Executor:
             self.plan_info["backend"] = self.backend
             if self._native is not None:
                 self.plan_info["native"] = self._native.counters()
-            if self.autotune is not None:
-                self.plan_info["autotune"] = self.autotune
             program.plan_counters = dict(self.plan_info)
         else:
             self.n_shards = max(1, n_shards or 1)
-
-    def _autotune(self, default_tile, requested_tile, n_shards, active_bits, lowered=()):
-        """Run the O3 ``autotune`` stage; returns the (tile, shard count) to use.
-
-        A previous bind's recorded winners (this session or a loaded
-        artifact's header) replay deterministically with no timing runs;
-        only a first-ever bind micro-benchmarks.
-        """
-        self.autotune = autotune_schedule(
-            self.program,
-            self._steps,
-            default_tile=default_tile,
-            active_bits=active_bits,
-            tune_tile=requested_tile is None,
-            tune_shards=n_shards is None,
-            fixed_shards=n_shards,
-            recorded=recorded_autotune(self.program),
-            lowered=lowered,
-        )
-        tile = int(self.autotune["tile"]["chosen"])
-        if requested_tile is None:
-            self.tile = tile
-        return tile, int(self.autotune["n_shards"]["chosen"])
-
-    def _compile_plan(self, tile: int, active_bits: Optional[int]):
-        """The ``memory_plan`` stage at ``tile``; ``None`` when the schedule
-        cannot be planned (the interpreter runs it instead — tuned kernel
-        variants are bitwise-identical there too)."""
-        from repro.core.memory_plan import PlanUnsupported, compile_execution_plan
-
-        try:
-            return compile_execution_plan(
-                self.program, self._steps, tile=tile, active_bits=active_bits
-            )
-        except PlanUnsupported:
-            return None
 
     def _bind_native(self, active_bits: Optional[int]) -> None:
         """Attempt the native (O4) codegen bind; fall back to ``plan``.
@@ -1155,10 +1085,10 @@ class Executor:
         self.backend = "plan"
         if isinstance(report, dict) and report.get("level") == "O4":
             report["fallback_reason"] = reason
-            report["effective_level"] = "O3"
+            report["effective_level"] = "O2"
         warnings.warn(
             f"native (O4) backend unavailable ({reason}); falling back to "
-            "the plan backend (effective level O3)",
+            "the plan backend (effective level O2)",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -1234,32 +1164,38 @@ class Executor:
             if k == 1:
                 self._run_chunk(runtimes[0], x, out)
             else:
-                bounds = _chunk_bounds(n, k, plan.tile)
-                threads = self._shard_pool()
-                futures = [
-                    threads.submit(self._run_chunk, rt, x[a:b], out[a:b])
-                    for rt, (a, b) in zip(runtimes[1:], bounds[1:])
-                ]
-                a, b = bounds[0]
-                errors: List[BaseException] = []
-                try:
-                    self._run_chunk(runtimes[0], x[a:b], out[a:b])
-                except BaseException as exc:
-                    errors.append(exc)
-                # Wait for *every* chunk before surfacing an error: a
-                # runtime must never return to the pool while its worker
-                # thread is still executing on it.
-                for future in futures:
-                    try:
-                        future.result()
-                    except BaseException as exc:
-                        errors.append(exc)
-                if errors:
-                    raise errors[0]
+                # The shards occupy the cores: their float conv/linear steps
+                # must not start a BLAS thread pool on top of them.
+                with single_threaded_blas():
+                    self._run_shards(runtimes, x, out)
         finally:
             for rt in runtimes:
                 self._runtime_q.put(rt)
         return out
+
+    def _run_shards(self, runtimes, x: np.ndarray, out: np.ndarray) -> None:
+        bounds = _chunk_bounds(x.shape[0], len(runtimes), self.exec_plan.tile)
+        threads = self._shard_pool()
+        futures = [
+            threads.submit(self._run_chunk, rt, x[a:b], out[a:b])
+            for rt, (a, b) in zip(runtimes[1:], bounds[1:])
+        ]
+        a, b = bounds[0]
+        errors: List[BaseException] = []
+        try:
+            self._run_chunk(runtimes[0], x[a:b], out[a:b])
+        except BaseException as exc:
+            errors.append(exc)
+        # Wait for *every* chunk before surfacing an error: a
+        # runtime must never return to the pool while its worker
+        # thread is still executing on it.
+        for future in futures:
+            try:
+                future.result()
+            except BaseException as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     def _shard_pool(self):
         with self._shard_lock:

@@ -53,15 +53,15 @@ Bit-exactness strategy (threshold 0 ⇒ identical results):
 On top of the construction, :func:`compile_stream_plan` *verifies* the
 incremental path at compile time — a perturbed frame is executed both ways
 and every intermediate buffer compared bitwise; any step that deviates is
-demoted to full-frame execution (an autotuner-style "prove it on the spot"
-gate: never a wrong answer, only less savings).
+demoted to full-frame execution (a "prove it on the spot" gate: never a
+wrong answer, only less savings).
 
 Crossover fallback
 ------------------
 Incremental execution has bookkeeping overhead (diffing, halo crops, slice
 writes), so above some dirty fraction it is *slower* than simply rerunning
 the whole schedule.  The compile step measures both paths and records the
-crossover dirty fraction — like autotune decisions — under the executor's
+crossover dirty fraction under the executor's
 ``plan_info["stream"]`` and the program's pipeline report
 (``stream_plan`` pass).  Sessions above the crossover fall back to a full
 refresh (which also keeps their persistent state warm).
@@ -292,8 +292,8 @@ def _clone_conv_plan(plan) -> Any:
     only the border handling changes — the streaming executor materializes
     the halo crop explicitly (pre-padded with the layer zero point), so the
     clone sees a borderless problem.  Integer accumulation makes the result
-    bitwise equal to the original plan's, whatever ``hoist_padding``/
-    ``tap_gather``/``encoder`` variant the autotuner picked for it.
+    bitwise equal to the original plan's, whatever its ``hoist_padding``
+    or ``encoder``.
     """
     clone = copy.copy(plan)
     clone.padding = 0
@@ -752,8 +752,8 @@ def compile_stream_plan(
     fused bit-serial steps), **verifies** the incremental path bitwise
     against the full executor on a perturbed frame (demoting any deviating
     step to full-frame execution), and measures the incremental-vs-full
-    crossover dirty fraction — recorded like autotune decisions under the
-    executor's ``plan_info["stream"]`` and the program's pipeline report.
+    crossover dirty fraction — recorded under the executor's
+    ``plan_info["stream"]`` and the program's pipeline report.
 
     ``crossover`` overrides the measurement with a fixed fraction
     (deterministic tests); ``executor`` reuses an existing plan-backend

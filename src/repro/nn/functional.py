@@ -16,6 +16,11 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # im2col / col2im
 # ---------------------------------------------------------------------------
+# Columns :func:`col2im` scatters per pass: about one L2's worth, so the
+# KH·KW strided passes re-read cached data.
+_COL2IM_CHUNK_BYTES = 1 << 20
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution along one dimension."""
     out = (size + 2 * padding - kernel) // stride + 1
@@ -84,22 +89,33 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add columns back to image space (adjoint of :func:`im2col`)."""
+    """Scatter-add columns back to image space (adjoint of :func:`im2col`).
+
+    ``cols`` is ``(N, C·KH·KW, OH·OW)``.  The taps are accumulated
+    channels-last, a few samples at a time so each sample's columns stay
+    cache-resident across the KH·KW strided passes.  The conv backward's
+    einsum hands dense-conv ``cols`` over with the ``(N, OH·OW, C·KH·KW)``
+    memory layout, which this reads without a copy; any other layout costs
+    one transposing copy.  Every output element receives its taps in
+    ``(i, j)`` order.
+    """
     n, c, h, w = x_shape
     kh, kw = kernel
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
     h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            out[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding:
-        return out[:, :, padding:-padding, padding:-padding]
-    return out
+    taps = cols.transpose(0, 2, 1).reshape(n, oh, ow, c, kh, kw)
+    out = np.zeros((n, h_pad, w_pad, c), dtype=cols.dtype)
+    chunk = max(1, _COL2IM_CHUNK_BYTES // max(taps[0].nbytes if n else 0, 1))
+    for a in range(0, n, chunk):
+        dst, src = out[a : a + chunk], taps[a : a + chunk]
+        for i in range(kh):
+            i_max = i + stride * oh
+            for j in range(kw):
+                j_max = j + stride * ow
+                dst[:, i:i_max:stride, j:j_max:stride] += src[..., i, j]
+    out = out[:, padding : h_pad - padding, padding : w_pad - padding]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.core.export import (
     PROGRAM_SCHEMA_VERSION,
     load_program,
     read_program_metadata,
+    retire_o3,
     save_program,
 )
 from repro.core.program import NetworkProgram
@@ -148,6 +149,7 @@ class ModelRepository:
         sidecar = artifact.parent / METADATA_NAME
         if sidecar.exists():
             meta = json.loads(sidecar.read_text())
+            retire_o3(meta)  # sidecars published while O3 was a level
         else:
             meta = read_program_metadata(artifact)
         meta.setdefault("name", name)

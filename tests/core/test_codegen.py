@@ -16,13 +16,10 @@ Covers the backend's contracts end to end:
 * deterministic emission — the same program emits byte-identical C source
   and consts blobs twice (the build cache's correctness precondition);
 * the no-compiler fallback — O4 degrades to the plan backend at effective
-  level O3 with a surfaced ``fallback_reason`` (never silently), and a
+  level O2 with a surfaced ``fallback_reason`` (never silently), and a
   later bind on a capable host clears the fallback;
 * artifact round-trips of the native build metadata (source + hashes),
   loadable without compiling anything;
-* the autotuner's ``numerics: tile_reorder`` honesty flag — recorded
-  exactly when the tile choice re-chunks the float convs' BLAS reductions,
-  and never persisted into artifacts;
 * serve ``/stats`` reporting the *active* backend and effective level.
 """
 
@@ -45,7 +42,6 @@ from repro.core import (
 )
 from repro.core.codegen import build, emit_native
 from repro.core.codegen.build import find_compiler
-from repro.core.pipeline import persistable_autotune
 from repro.core.program import auto_backend
 from repro.models import create_model
 from repro.nn import DataLoader
@@ -169,21 +165,17 @@ class TestBitExactness:
 
 
 @needs_cc
-def test_o4_bind_times_only_the_steps_left_on_numpy(resnet_engine, monkeypatch):
-    # Constant timings favour the largest tile candidate: a tile sweep would
-    # move the tile away from the heuristic one the C was emitted for.
-    monkeypatch.setattr("repro.core.pipeline._time_call", lambda fn, reps: 1.0)
-    program = _fresh_program(resnet_engine, "O4")
-    native = Executor(program, backend="native")
+def test_o4_bind_plans_the_same_schedule_as_plan(resnet_engine):
+    """A native bind plans at the plan backend's heuristic tile and shard
+    count and times nothing: the C is emitted for the arena every bind of
+    the program plans, a loading worker's too."""
+    native = Executor(_fresh_program(resnet_engine, "O4"), backend="native")
     plan = Executor(_fresh_program(resnet_engine, "O4"), backend="plan")
-    lowered = native._native.emitted.lowered
-    kernel_steps = [i for i, step in enumerate(native._steps) if step.plan is not None]
-    assert set(lowered) & set(kernel_steps)  # some kernel steps run in C
-    assert native.autotune["layers_tuned"] == len(set(kernel_steps) - set(lowered))
-    assert native.autotune["tile"]["candidate_ms_per_image"] == {}  # no sweep
-    assert native.autotune["n_shards"]["basis"] == "native"
-    assert native.autotune["trials"] < plan.autotune["trials"]
-    assert plan.exec_plan.tile != native.exec_plan.tile  # the plan bind did sweep
+    assert native.backend == "native"
+    assert native.exec_plan.tile == plan.exec_plan.tile
+    assert native.n_shards == plan.n_shards
+    assert native.plan_info["arena_bytes"] == plan.plan_info["arena_bytes"]
+    assert "autotune" not in native.plan_info
 
 
 @needs_cc
@@ -192,8 +184,6 @@ def test_loaded_o4_artifact_binds_from_the_cache(resnet_engine, monkeypatch, tmp
     respawn) emit the same source, so the loader needs no compiler."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
-    # Timings that favour a non-heuristic tile on the compiling bind.
-    monkeypatch.setattr("repro.core.pipeline._time_call", lambda fn, reps: 1.0)
     program = _fresh_program(resnet_engine, "O4")
     assert Executor(program, backend=auto_backend("plan", program)).backend == "native"
     path = tmp_path / "model.npz"
@@ -288,19 +278,19 @@ def test_emission_is_deterministic(resnet_engine):
 def test_no_compiler_falls_back_to_plan(resnet_engine, monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cold-cache"))
     monkeypatch.setattr("repro.core.codegen.build.find_compiler", lambda: None)
-    with pytest.warns(RuntimeWarning, match="no C compiler"):
+    with pytest.warns(RuntimeWarning, match="no C compiler.*effective level O2"):
         program = _fresh_program(resnet_engine, "O4")
     # The compile-time probe already surfaces the downgrade in the report.
     assert program.pipeline_report["fallback_reason"] == "no_compiler"
-    assert program.effective_opt_level == "O3"
-    with pytest.warns(RuntimeWarning, match="falling back"):
+    assert program.effective_opt_level == "O2"
+    with pytest.warns(RuntimeWarning, match=r"falling back.*effective level O2"):
         executor = Executor(program, backend="native", tile=8, n_shards=1)
     assert executor.backend == "plan"
-    assert executor.exec_plan is not None  # still the full O3 planned path
+    assert executor.exec_plan is not None  # still the full O2 planned path
     assert executor.plan_info["backend"] == "plan"
-    assert program.pipeline_report["effective_level"] == "O3"
+    assert program.pipeline_report["effective_level"] == "O2"
     oracle = Executor(
-        _fresh_program(resnet_engine, "O3"), backend="plan", tile=8, n_shards=1
+        _fresh_program(resnet_engine, "O2"), backend="plan", tile=8, n_shards=1
     )
     x = _batch(n=5)
     np.testing.assert_array_equal(executor.run(x), oracle.run(x))
@@ -312,7 +302,7 @@ def test_capable_host_rebind_clears_fallback(resnet_engine, monkeypatch):
         patch.setattr("repro.core.codegen.build.find_compiler", lambda: None)
         with pytest.warns(RuntimeWarning, match="no C compiler"):
             program = _fresh_program(resnet_engine, "O4")
-    assert program.effective_opt_level == "O3"
+    assert program.effective_opt_level == "O2"
     # The executor retries at bind time: with the compiler visible again the
     # native bind succeeds and clears the compile-time probe's fallback.
     executor = Executor(program, backend="native", tile=8, n_shards=1)
@@ -380,30 +370,6 @@ def test_native_build_roundtrips_through_artifacts(resnet_engine, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Autotune numerics honesty flag (satellite of the native-bitwise contract)
-# ---------------------------------------------------------------------------
-def test_autotune_records_tile_reorder_numerics(resnet_engine, monkeypatch):
-    # Constant fake timings make per-image cost = steps/tile, so the sweep
-    # deterministically picks the largest candidate over the heuristic
-    # default — a tile change, which re-chunks the float convs' BLAS
-    # reductions and must be flagged.
-    monkeypatch.setattr("repro.core.pipeline._time_call", lambda fn, reps: 1.0)
-    executor = Executor(_fresh_program(resnet_engine, "O3"), backend="plan")
-    decisions = executor.autotune
-    assert decisions["tile"]["chosen"] != 16  # the heuristic default here
-    assert decisions["numerics"] == "tile_reorder"
-    # Kernel-variant winners are bitwise-invariant: the flag must never be
-    # claimed for them, and never persisted into artifact headers.
-    assert "numerics" not in persistable_autotune(decisions)
-
-
-def test_autotune_no_numerics_flag_when_tile_pinned(resnet_engine):
-    executor = Executor(_fresh_program(resnet_engine, "O3"), backend="plan", tile=16)
-    assert executor.autotune is not None
-    assert "numerics" not in executor.autotune
-
-
-# ---------------------------------------------------------------------------
 # Serve /stats surfaces the active backend and effective level
 # ---------------------------------------------------------------------------
 def _serve_snapshot(tmp_path, program):
@@ -436,5 +402,5 @@ def test_serve_stats_surface_fallback(resnet_engine, tmp_path, monkeypatch):
         snap = _serve_snapshot(tmp_path, program)
     assert snap["executor"]["backend"] == "plan"
     assert snap["pipeline"]["level"] == "O4"
-    assert snap["pipeline"]["effective_level"] == "O3"
+    assert snap["pipeline"]["effective_level"] == "O2"
     assert snap["pipeline"]["fallback_reason"] == "no_compiler"

@@ -3,10 +3,12 @@
 The oracle is the ``O0`` program on the ``reference`` backend:
 ``Executor(engine.compile(level="O0"), backend="reference")`` — the
 tap-loop kernels of :mod:`repro.core.bitserial` with the explicit epilogue
-association.  Each model below runs the ``plan`` backend at ``O0``–``O3``
-and the ``native`` backend at ``O4`` (with a host C compiler) against it
-within the numerics contract the end-to-end benchmark checks replies with
-(rtol 1e-6, atol 1e-9), with identical argmax.  The No-LUT
+association.  Each model below runs the ``plan`` backend at every level
+(``O0``–``O2``, and the ``O4`` program that a host without a C compiler
+falls back to) and the ``native`` backend at ``O4`` (with a host C
+compiler) against it within the numerics contract the end-to-end
+benchmark checks replies with (rtol 1e-6, atol 1e-9), with identical
+argmax.  The No-LUT
 mode is pinned bitwise to a hand-written fake-quant forward, and executors
 shared across threads are pinned bitwise to a serial run.
 """
@@ -25,6 +27,7 @@ from repro.core import (
 )
 from repro.core.codegen.build import find_compiler
 from repro.core.layers import WeightPoolLinear
+from repro.core.pipeline import OPT_LEVELS
 from repro.core.weight_pool import WeightPool
 from repro.models import create_model
 from repro.nn import DataLoader, Linear, Module, ReLU, Sequential
@@ -32,7 +35,6 @@ from repro.nn.data.dataset import ArrayDataset
 from repro.quantization.quantizer import fake_quantize
 
 RTOL, ATOL = 1e-6, 1e-9
-LEVELS = ("O0", "O1", "O2", "O3")
 
 
 def _image_loader(seed=0, n=32, size=32):
@@ -108,7 +110,7 @@ def _oracle(engine, x, input_shape=None):
 
 
 class TestLevelsAgainstOracle:
-    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("level", OPT_LEVELS)
     def test_plan_backend_tracks_the_oracle(self, engine, level):
         x = _batch(engine)
         expected = _oracle(engine, x)

@@ -8,14 +8,18 @@ Covers the pipeline's contracts end to end:
   epilogue claims fail naming the op);
 * pass idempotency (running any registered graph pass twice changes
   nothing);
-* optimization-level equivalence — ``O0``–``O3`` programs produce identical
-  predictions on ResNet-14 and match the ``O0`` reference oracle;
-* the ``O3`` autotuner (recorded decisions, bitwise-identical outputs);
+* optimization-level equivalence — ``O0``–``O2`` and ``O4`` programs
+  produce identical predictions on ResNet-14 and match the ``O0``
+  reference oracle;
+* the planned schedule — the heuristic tile and per-core shards unless
+  the caller pins them;
 * MobileNetV2 compiled end-to-end through the pipeline (depthwise/grouped
   conv lowering) against the ``O0`` reference oracle;
-* artifact round-trips preserving the pipeline config + per-pass reports.
+* artifact round-trips preserving the pipeline config + per-pass reports,
+  and artifacts saved at the retired ``O3`` level binding as ``O2``.
 """
 
+import json
 import sys
 
 import numpy as np
@@ -41,6 +45,7 @@ from repro.core import (
 from repro.models import create_model
 from repro.nn import DataLoader
 from repro.nn.data.dataset import ArrayDataset
+from repro.serve.repository import ModelRepository
 
 
 def _loader(seed=0, n=32):
@@ -75,6 +80,39 @@ def mobilenet_engine():
     return _calibrated_engine("mobilenetv2_tiny")
 
 
+def _edit_header(path, edit):
+    """Rewrite a saved artifact's JSON header in place (arrays untouched, so
+    the embedded content digest still verifies)."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(str(arrays["__program__"]))
+    edit(header)
+    arrays["__program__"] = np.array(json.dumps(header))
+    np.savez_compressed(path, **arrays)
+
+
+def _as_o3_record(record):
+    """What a header (or a repository sidecar) compiled and bound at the
+    retired O3 level recorded."""
+    record["opt_level"] = "O3"
+    record["pipeline"].update(level="O3", effective_level="O3")
+    record["pipeline"]["passes"].append(
+        {
+            "name": "autotune",
+            "stage": "tune",
+            "counters": {"layers_tuned": 1, "trials": 174, "tile": 8, "n_shards": 2},
+            "decisions": {
+                "layers": {"layer1.0.conv1": {"tap_gather": "fused", "encoder": "packbits"}}
+            },
+        }
+    )
+
+
+def _as_o3_header(header):
+    for record in (header, header["metadata"]):
+        _as_o3_record(record)
+
+
 def _oracle(engine):
     return Executor(engine.compile(level="O0"), backend="reference")
 
@@ -99,7 +137,7 @@ class TestRegistry:
             "dedupe_quantize": ("graph", "O1"),
             "fold_activation_into_quantize": ("graph", "O1"),
             "memory_plan": ("schedule", "O2"),
-            "autotune": ("tune", "O3"),
+            "codegen": ("codegen", "O4"),
         }
         for name, (stage, level) in expected.items():
             assert name in PASS_REGISTRY, f"pass '{name}' not registered"
@@ -122,8 +160,15 @@ class TestValidation:
     """Unknown level/pass names fail loudly listing the valid choices."""
 
     def test_unknown_level_rejected_listing_choices(self, compressed_small_model):
-        with pytest.raises(ValueError, match="O0, O1, O2, O3"):
+        with pytest.raises(ValueError, match="O0, O1, O2, O4"):
             compile_network(compressed_small_model.model, (3, 32, 32), level="O7")
+
+    def test_retired_o3_level_is_rejected(self, compressed_small_model):
+        assert OPT_LEVELS == ("O0", "O1", "O2", "O4")
+        with pytest.raises(ValueError, match="'O3'; valid levels: O0, O1, O2, O4"):
+            compile_network(compressed_small_model.model, (3, 32, 32), level="O3")
+        with pytest.raises(ValueError, match="'O3'; valid levels: O0, O1, O2, O4"):
+            EngineConfig(opt_level="O3")
 
     def test_unknown_pass_rejected_listing_registered(self, compressed_small_model):
         with pytest.raises(ValueError, match="fold_batchnorm"):
@@ -134,11 +179,11 @@ class TestValidation:
     def test_non_graph_pass_cannot_be_selected_explicitly(self, compressed_small_model):
         with pytest.raises(ValueError, match="graph-stage"):
             compile_network(
-                compressed_small_model.model, (3, 32, 32), passes=["autotune"]
+                compressed_small_model.model, (3, 32, 32), passes=["memory_plan"]
             )
 
     def test_engine_config_rejects_unknown_level(self):
-        with pytest.raises(ValueError, match="O0, O1, O2, O3"):
+        with pytest.raises(ValueError, match="O0, O1, O2, O4"):
             EngineConfig(opt_level="O9")
 
     def test_engine_compile_rejects_unknown_level(self, resnet_engine):
@@ -160,7 +205,7 @@ class TestValidation:
 
 class TestVerifier:
     def test_compiled_programs_verify(self, resnet_engine):
-        for level in OPT_LEVELS[:3]:  # O3 == O2 at the IR level
+        for level in ("O0", "O1", "O2"):
             program = resnet_engine.compile(level=level)
             counters = verify_program(program)
             assert counters["ops"] == len(program.ops)
@@ -249,7 +294,8 @@ class TestPassIdempotency:
 
 
 class TestLevelEquivalence:
-    """O0..O3 are prediction-identical on ResNet-14 and match the oracle."""
+    """O0..O2 and O4 are prediction-identical on ResNet-14 and match the
+    oracle."""
 
     @pytest.fixture(scope="class")
     def executors(self, resnet_engine):
@@ -261,9 +307,7 @@ class TestLevelEquivalence:
         assert executors["O1"].exec_plan is None
         assert executors["O1"].program.optimized
         assert executors["O2"].exec_plan is not None
-        assert executors["O2"].autotune is None
-        assert executors["O3"].exec_plan is not None
-        assert executors["O3"].autotune is not None
+        assert executors["O4"].exec_plan is not None
 
     def test_predictions_identical_across_levels_and_oracle(self, resnet_engine, executors):
         x = np.random.default_rng(21).normal(size=(9, 3, 32, 32))
@@ -274,15 +318,8 @@ class TestLevelEquivalence:
         # epilogue's float association.
         np.testing.assert_allclose(outputs["O0"], oracle, rtol=1e-12, atol=1e-12)
         # O1 (interpreted) and O2 (planned) share the heuristic tile: bitwise
-        # identical.  O3's tuned kernel variants are bitwise identical too,
-        # compared at O3's (possibly retuned) tile — the tile itself only
-        # reorders the float stem conv's BLAS reduction, which is the same
-        # caveat the auto-tile heuristic always had.
+        # identical.
         np.testing.assert_array_equal(outputs["O1"], outputs["O2"])
-        same_tile = Executor(
-            executors["O2"].program, tile=executors["O3"].exec_plan.tile,
-        )
-        np.testing.assert_array_equal(outputs["O3"], same_tile.run(x))
         for level, out in outputs.items():
             np.testing.assert_array_equal(out.argmax(axis=1), oracle_pred, err_msg=level)
 
@@ -292,36 +329,34 @@ class TestLevelEquivalence:
         assert len(set(accuracies.values())) == 1, accuracies
 
 
-class TestAutotune:
-    def test_decisions_recorded_per_layer(self, resnet_engine):
-        executor = resnet_engine._executor(level="O3")
-        decisions = executor.plan_info["autotune"]
-        bitserial = executor.program.count("bitserial_conv") + executor.program.count(
-            "bitserial_linear"
-        )
-        assert decisions["layers_tuned"] == bitserial == len(decisions["layers"])
-        for pick in decisions["layers"].values():
-            assert pick["tap_gather"] in ("fused", "per_tap")
-            assert pick["encoder"] in ("packbits", "bitmul")
-            assert pick["candidate_ms"]
-        assert decisions["tile"]["chosen"] == executor.exec_plan.tile
-        assert decisions["n_shards"]["chosen"] == executor.n_shards
-        assert decisions["trials"] > 0
+class TestSchedule:
+    """The planned schedule's tile and shard count: the caller's, else the
+    plan backend's cache heuristic and one shard per core."""
 
-    def test_report_travels_with_the_program(self, resnet_engine):
-        program = resnet_engine.compile(level="O3")
-        names = [p["name"] for p in program.pipeline_report["passes"]]
-        assert "autotune" in names and "memory_plan" in names
-        meta = program.metadata()
-        assert meta["opt_level"] == "O3"
-        assert meta["execution_plan"]["autotune"]["layers_tuned"] > 0
+    def test_heuristic_tile_and_per_core_shards(self, resnet_engine):
+        from repro.core.program import _default_shard_count
 
-    def test_explicit_tile_and_shards_are_respected(self, resnet_engine):
-        program = resnet_engine.compile(level="O3")
-        executor = Executor(program, tile=4, n_shards=2)
+        executor = Executor(_fresh_program(resnet_engine, "O2"))
+        assert executor.exec_plan.tile == executor.tile == executor.plan_info["tile"]
+        assert executor.n_shards == _default_shard_count() == executor.plan_info["n_shards"]
+        assert "autotune" not in executor.plan_info
+        names = [p["name"] for p in executor.program.pipeline_report["passes"]]
+        assert "memory_plan" in names and "autotune" not in names
+
+    def test_pinned_tile_and_shards_are_respected(self, resnet_engine):
+        executor = Executor(_fresh_program(resnet_engine, "O2"), tile=4, n_shards=2)
         assert executor.exec_plan.tile == 4
         assert executor.n_shards == 2
-        assert executor.autotune["n_shards"]["basis"] == "fixed"
+
+    def test_report_travels_with_the_program(self, resnet_engine):
+        executor = Executor(_fresh_program(resnet_engine, "O2"), tile=4, n_shards=2)
+        names = [p["name"] for p in executor.program.pipeline_report["passes"]]
+        assert "memory_plan" in names
+        meta = executor.program.metadata()
+        assert meta["opt_level"] == "O2"
+        assert meta["execution_plan"]["tile"] == 4
+        assert meta["execution_plan"]["n_shards"] == 2
+        assert meta["execution_plan"]["arena_bytes"] == executor.plan_info["arena_bytes"]
 
 
 class TestMobileNetV2Pipeline:
@@ -351,7 +386,7 @@ class TestMobileNetV2Pipeline:
         )
         # Optimized levels track the oracle within the documented float
         # tolerance, with identical predictions.
-        for level in ("O2", "O3"):
+        for level in ("O1", "O2"):
             out = mobilenet_engine._executor(level=level).run(x)
             scale = max(float(np.abs(oracle).max()), 1e-12)
             assert np.abs(out - oracle).max() < 1e-9 * scale
@@ -366,48 +401,94 @@ class TestArtifactRoundTrip:
     """Pipeline config + per-pass reports survive save/load header-only."""
 
     def test_round_trip_preserves_pipeline_report(self, resnet_engine, tmp_path):
-        program = resnet_engine.compile(level="O3")
+        program = resnet_engine.compile(level="O2")
         path = tmp_path / "program.npz"
         save_program(program, path)
         loaded = load_program(path)
-        assert loaded.opt_level == "O3"
+        assert loaded.opt_level == "O2"
         assert loaded.pipeline_report == program.pipeline_report
-        # A fresh executor replays the artifact's recorded kernel winners
-        # deterministically — no re-benchmarking on load.  Tile and shard
-        # choices are host properties: not persisted, re-derived per bind.
+        # Execution plans are derived state: a fresh executor re-plans the
+        # loaded program at this host's heuristic tile and shard count.
         executor = Executor(loaded)
         assert executor.exec_plan is not None
-        assert executor.autotune is not None
-        assert executor.autotune.get("reused") is True
-        assert executor.autotune["trials"] == 0
-        recorded = next(
-            p for p in program.pipeline_report["passes"] if p["name"] == "autotune"
-        )["decisions"]
-        assert set(recorded) == {"layers"}  # nothing host-specific persisted
-        for key, pick in executor.autotune["layers"].items():
-            assert set(recorded["layers"][key]) == {"tap_gather"}
-            assert pick["tap_gather"] == recorded["layers"][key]["tap_gather"]
+        x = np.random.default_rng(23).normal(size=(6, 3, 32, 32))
+        np.testing.assert_array_equal(executor.run(x), Executor(program).run(x))
 
     def test_recorded_encoder_of_older_artifacts_is_ignored(self, resnet_engine, tmp_path):
-        """Older headers also record an "encoder" pick per layer; the encoder
-        now follows from the plan's geometry, so such a header still binds
-        and runs bitwise-equal."""
+        """Older headers record a per-layer "encoder" (and "tap_gather") pick
+        in an ``autotune`` pass entry; the encoder follows from the plan's
+        geometry and the tap gather is fixed, so the entry is dropped on load
+        and the artifact runs bitwise-equal."""
         path = tmp_path / "program.npz"
-        save_program(resnet_engine.compile(level="O3"), path)
-        older = load_program(path)
+        save_program(resnet_engine.compile(level="O2"), path)
         x = np.random.default_rng(23).normal(size=(6, 3, 32, 32))
         expected = Executor(load_program(path), tile=4, n_shards=1).run(x)
-        recorded = next(
-            p for p in older.pipeline_report["passes"] if p["name"] == "autotune"
-        )["decisions"]
-        for pick in recorded["layers"].values():
-            pick["encoder"] = "packbits"
-        save_program(older, path)
-        executor = Executor(load_program(path), tile=4, n_shards=1)
-        assert executor.autotune["reused"] is True
+        _edit_header(path, _as_o3_header)
+        loaded = load_program(path)
+        assert "autotune" not in [p["name"] for p in loaded.pipeline_report["passes"]]
+        executor = Executor(loaded, tile=4, n_shards=1)
         if sys.byteorder == "little":  # full 8-channel groups: always bitmul
-            assert {p["encoder"] for p in executor.autotune["layers"].values()} == {"bitmul"}
+            kernels = [step.plan for step in executor._steps if step.plan is not None]
+            assert {getattr(p, "conv_plan", p).encoder for p in kernels} == {"bitmul"}
         np.testing.assert_array_equal(executor.run(x), expected)
+
+    def test_o3_artifacts_bind_as_the_o2_plan(self, resnet_engine, tmp_path):
+        """An artifact saved at the retired O3 level loads as O2: no autotune
+        on the bound executor, the heuristic tile and per-core shards, and
+        outputs bitwise-equal to a fresh O2 bind of the same model."""
+        path = tmp_path / "program.npz"
+        save_program(resnet_engine.compile(level="O2"), path)
+        _edit_header(path, _as_o3_header)
+        meta = read_program_metadata(path)
+        assert meta["opt_level"] == "O2"
+        assert meta["pipeline"]["level"] == meta["pipeline"]["effective_level"] == "O2"
+        assert "autotune" not in [p["name"] for p in meta["pipeline"]["passes"]]
+        loaded = load_program(path)
+        assert loaded.opt_level == loaded.effective_opt_level == "O2"
+        executor = Executor(loaded)
+        assert not hasattr(executor, "autotune")
+        assert "autotune" not in executor.plan_info
+        fresh = Executor(_fresh_program(resnet_engine, "O2"))
+        assert executor.exec_plan.tile == fresh.exec_plan.tile
+        assert executor.n_shards == fresh.n_shards
+        x = np.random.default_rng(29).normal(size=(20, 3, 32, 32))
+        np.testing.assert_array_equal(executor.run(x), fresh.run(x))
+
+        # A repository version published while O3 was a level keeps its
+        # metadata.json sidecar: listings (and the pipeline report a process
+        # server takes from them) read it through the same mapping.
+        repo = ModelRepository(tmp_path / "models")
+        version = repo.publish_artifact(path, "resnet")
+        sidecar = repo.artifact_path("resnet", version).parent / "metadata.json"
+        recorded = json.loads(sidecar.read_text())
+        _as_o3_record(recorded)
+        sidecar.write_text(json.dumps(recorded))
+        for listed in (repo.metadata("resnet"), repo.get("resnet").metadata):
+            assert listed["opt_level"] == "O2"
+            assert listed["pipeline"]["level"] == listed["pipeline"]["effective_level"] == "O2"
+            assert "autotune" not in [p["name"] for p in listed["pipeline"]["passes"]]
+        assert repo.get("resnet").program.effective_opt_level == "O2"
+
+    def test_o4_fallback_recorded_as_o3_binds_as_o2(self, resnet_engine, tmp_path):
+        path = tmp_path / "program.npz"
+        save_program(resnet_engine.compile(level="O2"), path)
+
+        def o4_fallen_back_to_o3(header):
+            for record in (header, header["metadata"]):
+                record["opt_level"] = "O4"
+                record["pipeline"].update(
+                    level="O4", effective_level="O3", fallback_reason="no_compiler"
+                )
+
+        _edit_header(path, o4_fallen_back_to_o3)
+        loaded = load_program(path)
+        assert loaded.opt_level == "O4"
+        assert loaded.effective_opt_level == "O2"
+        assert read_program_metadata(path)["pipeline"]["effective_level"] == "O2"
+        executor = Executor(loaded, backend="plan", tile=8, n_shards=1)
+        oracle = Executor(_fresh_program(resnet_engine, "O2"), tile=8, n_shards=1)
+        x = np.random.default_rng(31).normal(size=(9, 3, 32, 32))
+        np.testing.assert_array_equal(executor.run(x), oracle.run(x))
 
     def test_metadata_header_only_shows_pipeline(self, resnet_engine, tmp_path):
         program = resnet_engine.compile(level="O2")

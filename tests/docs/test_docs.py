@@ -8,7 +8,9 @@ Two invariants the docs promise:
   compiler;
 * ``docs/ARCHITECTURE.md`` documents **every registered compiler pass**
   (one row per ``PASS_REGISTRY`` entry: name, stage, level, counters) and
-  every optimization level, so the pass-manager table cannot drift either;
+  every optimization level — and nothing else: every row of the levels
+  table names a member of ``OPT_LEVELS`` and every row of the pass table a
+  registered pass, so a retired level or pass cannot linger in the docs;
 * every relative markdown link in ``README.md`` and ``docs/*.md`` resolves
   to a real file (the CI link-checker step runs exactly this module).
 """
@@ -25,6 +27,19 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 DOC_FILES = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+
+def _table_first_column(text: str, header: str):
+    """The first-column cells of the markdown table whose header row starts
+    with ``header`` (backticks stripped)."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    cells = []
+    for line in lines[start + 2:]:  # skip the header and the |---| rule
+        if not line.startswith("|"):
+            break
+        cells.append(line.split("|")[1].strip().strip("`"))
+    return cells
 
 
 def test_docs_exist():
@@ -101,6 +116,20 @@ class TestPassManagerReference:
             assert re.search(rf"^\|\s*`{level}`\s*\|", text, re.MULTILINE), (
                 f"optimization level '{level}' has no row in the levels table"
             )
+
+    def test_every_levels_table_row_is_a_level(self):
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        rows = _table_first_column(text, "| Level | Adds |")
+        assert rows, "docs/ARCHITECTURE.md has no levels table"
+        stale = [row for row in rows if row not in OPT_LEVELS]
+        assert not stale, f"levels table rows name no level in OPT_LEVELS: {stale}"
+
+    def test_every_pass_table_row_is_a_registered_pass(self):
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        rows = _table_first_column(text, "| Pass | Stage | Level |")
+        assert rows, "docs/ARCHITECTURE.md has no pass table"
+        stale = [row for row in rows if row not in PASS_REGISTRY]
+        assert not stale, f"pass table rows name no registered pass: {stale}"
 
 
 class TestMarkdownLinks:

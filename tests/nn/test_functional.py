@@ -67,6 +67,32 @@ class TestIm2col:
         rhs = float((x * back).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @pytest.mark.parametrize("layout", ["c_contiguous", "backward_einsum"])
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
+    def test_col2im_matches_tap_loop_bitwise(self, layout, n, stride, padding):
+        # 16 channels at 16x16: one sample's columns are ~0.3 MiB, so a batch
+        # of 8 spans several of col2im's ~1 MiB accumulation chunks.
+        c, h, w, k = 16, 16, 16, 3
+        oh = (h + 2 * padding - k) // stride + 1
+        ow = (w + 2 * padding - k) // stride + 1
+        y = np.random.default_rng(stride + 3 * padding).normal(size=(n, c * k * k, oh * ow))
+        if layout == "backward_einsum":
+            # What conv2d_backward's einsum returns: (N, OH*OW, C*KH*KW) in
+            # memory, viewed as (N, C*KH*KW, OH*OW).
+            y = np.ascontiguousarray(y.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert y.transpose(0, 2, 1).flags.c_contiguous
+        taps = y.reshape(n, c, k, k, oh, ow)
+        expected = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        for i in range(k):
+            for j in range(k):
+                expected[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += taps[
+                    :, :, i, j
+                ]
+        expected = expected[:, :, padding : padding + h, padding : padding + w]
+        back = F.col2im(y, (n, c, h, w), (k, k), stride=stride, padding=padding)
+        np.testing.assert_array_equal(back, expected)
+
 
 class TestConv2dForward:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 2)])
