@@ -5,7 +5,7 @@ processes (or machines) behind one front end:
 
 * :mod:`~repro.serve.cluster.transport` — length-prefixed array framing
   over TCP with per-operation deadlines and injectable network faults,
-  sized by the same slot geometry as the shared-memory rings.
+  each frame bounded by the artifact's input/output geometry.
 * :mod:`~repro.serve.cluster.node` — the replica daemon: a model
   repository plus cached executors behind a socket, answering predict /
   health / sync frames (``python -m repro.serve.cluster.node``).

@@ -11,16 +11,14 @@ exactly like a worker pool — a replica node is a worker pool you can SIGKILL
 from another machine.
 
 Concurrency model: one daemon accept thread, one handler thread per
-connection.  Executors are cached per ``(model, version)``; thread-safe
-executors (planned shard pools) are shared across connections, anything
-else is serialized behind a per-executor lock — the same degradation rule
-as :class:`~repro.serve.workers.ThreadWorkerPool`.
+connection.  Executors are cached per ``(model, version)``, and each is
+shared by every connection (no executor keeps state between runs, as in
+:class:`~repro.serve.workers.ThreadWorkerPool`).
 
-Batch payloads are bounded by the artifact's slot geometry
-(:func:`~repro.serve.cluster.transport.frame_bound_for_artifact`) — the
-shared-memory rings' sizing rule — so a batch too large for a replica's
-ring is rejected at the frame layer with a clean error frame instead of
-OOMing the node.
+Batch payloads are bounded by the artifact's input/output geometry
+(:func:`~repro.serve.cluster.transport.frame_bound_for_artifact`), so an
+oversized batch is rejected at the frame layer with a clean error frame
+instead of OOMing the node.
 
 Runnable as a daemon::
 

@@ -1,13 +1,10 @@
-"""Socket-based batch transport: the shared-memory ring framing, over TCP.
+"""Socket-based batch transport: length-prefixed array frames over TCP.
 
-PR 4's :class:`~repro.serve.workers._ShmRing` moves batches between
-processes as fixed-size slots whose geometry derives from the artifact
-header.  This module is the same idea across the machine boundary: a
-**frame** is one length-prefixed message — a small JSON header describing
-the arrays it carries, then their raw bytes — and the per-frame payload
-bound defaults to the very same slot geometry
-(:func:`repro.serve.workers.artifact_slot_bytes`), so a batch that fits a
-replica's ring also fits the wire frame that carries it there.
+A **frame** is one length-prefixed message — a small JSON header
+describing the arrays it carries, then their raw bytes.  The per-frame
+payload bound derives from the artifact header
+(:func:`frame_bound_for_artifact`): room for a 64-row batch of the larger
+of the program's input and output.
 
 Wire format (all integers big-endian)::
 
@@ -50,7 +47,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.serve.workers import artifact_slot_bytes
+from repro.core.export import read_program_metadata
 
 MAGIC = b"RPRF"
 WIRE_VERSION = 1
@@ -102,12 +99,20 @@ class Frame:
 
 
 def frame_bound_for_artifact(artifact_path: Union[str, Path]) -> int:
-    """Per-frame payload bound from the artifact header's slot geometry.
-
-    Identical sizing to the shared-memory rings (64-row batch of the larger
-    of input/output, clamped to [1, 32] MiB) — one geometry, two transports.
+    """Per-frame payload bound for a program artifact: room for a 64-row
+    batch of the larger of the program's input/output (8 bytes per
+    element), clamped to [1, 32] MiB; 1 MiB when the header cannot be read.
     """
-    return artifact_slot_bytes(artifact_path)
+    floor, ceiling = 1 << 20, 32 << 20
+    try:
+        meta = read_program_metadata(artifact_path)
+        sample = max(
+            int(np.prod(meta["input_shape"], dtype=np.int64)),
+            int(np.prod(meta["output_shape"], dtype=np.int64)),
+        )
+        return int(np.clip(64 * sample * 8, floor, ceiling))
+    except Exception:
+        return floor
 
 
 # ---------------------------------------------------------------------------

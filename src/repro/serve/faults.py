@@ -22,8 +22,7 @@ Supported fault kinds (:data:`FAULT_KINDS`):
     replica that makes deadlines and timeout-driven breakers testable.
 ``stall``
     The worker sleeps ``delay_ms`` before even looking at the message — a
-    stalled queue consumer (distinct from ``slow``: the stall applies
-    before any batch decode, so even shared-memory frees back up late).
+    stalled queue consumer.
 ``corrupt_artifact``
     The worker's artifact read fails at load time (process workers only:
     thread workers receive an already-deserialized program).  Drives the

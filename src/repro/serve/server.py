@@ -129,7 +129,6 @@ class _Pipeline:
                 path,
                 backend=server.backend,
                 num_workers=server.workers,
-                mp_context=server.mp_context,
                 fault_plan=server.fault_plan,
             )
         else:
@@ -305,9 +304,6 @@ class InferenceServer:
     backend:
         Executor backend for every pipeline (``plan`` / ``reference`` /
         ``cost`` — any registered name).
-    mp_context:
-        Start method for process workers (``fork``/``spawn``), ``None`` for
-        the platform default.
     admission:
         Per-model :class:`~repro.serve.admission.AdmissionPolicy` (queue
         depth / concurrency budget / priority classes); the default policy
@@ -362,7 +358,6 @@ class InferenceServer:
         workers: int = 1,
         worker_mode: str = "thread",
         backend: str = "plan",
-        mp_context: Optional[str] = None,
         admission: Optional[AdmissionPolicy] = None,
         retry=_DEFAULT,
         breaker=_DEFAULT,
@@ -388,7 +383,6 @@ class InferenceServer:
         self.workers = workers
         self.worker_mode = worker_mode
         self.backend = backend
-        self.mp_context = mp_context
         self.admission_policy = admission or AdmissionPolicy()
         self.retry_policy: Optional[RetryPolicy] = (
             RetryPolicy() if retry is _DEFAULT else retry

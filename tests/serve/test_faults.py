@@ -8,6 +8,7 @@ cue, shutdown under load settles every future, and recovered pipelines
 produce predictions identical to the never-injected path.
 """
 
+import multiprocessing
 import pickle
 import time
 
@@ -522,43 +523,46 @@ class TestScaleChaos:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory hygiene: crash/respawn churn must never leak ring segments
+# Teardown hygiene: crash/respawn churn must never leave a worker running
 # ---------------------------------------------------------------------------
-class TestShmRingHygiene:
-    """Every ring a pool ever created must be unlinked by pool.close().
+def _new_children(baseline):
+    """Live child processes started since ``baseline`` (finished ones are
+    reaped by ``active_children``)."""
+    return [p for p in multiprocessing.active_children() if p.pid not in baseline]
 
-    The regression this guards: a worker dying *between* ring teardown and
-    respawn used to leave its segments registered in /dev/shm forever.  The
-    rings now register in a process-wide set (`_ShmRing.live_segments()`),
-    `stop()` unlinks in a `finally`, and `close()` sweeps stragglers — so
-    after any amount of chaos the live set returns to its baseline.
+
+class TestShmRingHygiene:
+    """After ``pool.close()`` no worker process of any incarnation is alive.
+
+    The regression this guards: a replacement spawned by a respawn that
+    was still running when the pool closed outlived ``close()``.  ``close``
+    now waits for each worker's reader thread, which owns its slot's
+    respawn, so every incarnation is stopped and reaped before it returns.
     """
 
     def test_clean_lifecycle_leaves_no_segments(self, served):
-        from repro.serve.workers import _ShmRing
-
-        baseline = _ShmRing.live_segments()
+        baseline = {p.pid for p in multiprocessing.active_children()}
         pool = ProcessWorkerPool(served.artifact, num_workers=2)
         try:
-            assert len(_ShmRing.live_segments()) == len(baseline) + 4  # 2 rings/worker
+            assert len(pool.worker_pids()) == 2
             out = pool.submit(served.batch[:2]).result(timeout=120.0)
             np.testing.assert_allclose(out, served.expected[:2], rtol=1e-9, atol=1e-12)
         finally:
             pool.close()
-        assert _ShmRing.live_segments() == baseline
+        assert _new_children(baseline) == []
 
     def test_crash_respawn_churn_leaves_no_segments(self, served):
-        from repro.serve.workers import _ShmRing
-
-        baseline = _ShmRing.live_segments()
-        # Worker 0 crashes its first batch on every incarnation: each respawn
-        # creates fresh rings and must unlink the dead incarnation's.
+        baseline = {p.pid for p in multiprocessing.active_children()}
+        # Worker 0 crashes its first batch on every incarnation, so the pool
+        # keeps respawning slot 0 while batches are submitted.
         plan = FaultPlan.crash_on_batch(1, worker=0, spawn=None)
         pool = ProcessWorkerPool(served.artifact, num_workers=2, fault_plan=plan)
+        seen = set()
         try:
             crashes = 0
             deadline = time.perf_counter() + 120.0
             while crashes < 2 and time.perf_counter() < deadline:
+                seen.update(pool.worker_pids())
                 try:
                     pool.submit(served.batch[:1]).result(timeout=120.0)
                 except WorkerCrashed:
@@ -566,6 +570,8 @@ class TestShmRingHygiene:
                 except NoLiveWorkers:
                     time.sleep(0.05)
             assert crashes >= 2, "fault plan never fired"
+            seen.update(pool.worker_pids())
+            assert len(seen) >= 3  # at least one respawned incarnation
         finally:
             pool.close()
-        assert _ShmRing.live_segments() == baseline
+        assert _new_children(baseline) == []

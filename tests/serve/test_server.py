@@ -14,10 +14,12 @@ import pytest
 
 from repro.serve import (
     BatchPolicy,
+    FaultPlan,
     InferenceServer,
     ModelRepository,
     ProcessWorkerPool,
     ThreadWorkerPool,
+    WorkerCrashed,
     WorkerError,
     serve_http,
 )
@@ -99,33 +101,21 @@ class TestProcessWorkerPool:
             pool.close()
 
     def test_worker_crash_fails_requests_instead_of_hanging(self, served):
-        pool = ProcessWorkerPool(served.artifact, num_workers=1, respawn=False)
+        # The worker hard-exits (os._exit) on its second batch: the batch in
+        # flight must resolve to an error, never hang.
+        pool = ProcessWorkerPool(
+            served.artifact, num_workers=1,
+            fault_plan=FaultPlan.crash_on_batch(2, worker=0),
+        )
         try:
-            # Warm up: the worker is up and serving.
             pool.submit(served.batch[:1]).result(timeout=120.0)
-            pool._workers[0].process.kill()
-            # Whether the death is noticed before or after assignment, the
-            # request must resolve to an error — never hang.
-            deadline = time.perf_counter() + 30.0
-            saw_error = False
-            while time.perf_counter() < deadline:
-                try:
-                    future = pool.submit(served.batch[:1])
-                except WorkerError:
-                    saw_error = True  # pool already marked the worker dead
-                    break
-                try:
-                    future.result(timeout=30.0)
-                except WorkerError:
-                    saw_error = True  # in-flight batch failed with WorkerCrashed
-                    break
-                time.sleep(0.05)
-            assert saw_error
+            with pytest.raises(WorkerCrashed):
+                pool.submit(served.batch[:1]).result(timeout=120.0)
         finally:
             pool.close()
 
     def test_crashed_worker_respawns_and_serves_again(self, served):
-        pool = ProcessWorkerPool(served.artifact, num_workers=1, respawn=True)
+        pool = ProcessWorkerPool(served.artifact, num_workers=1)
         try:
             pool.submit(served.batch[:1]).result(timeout=120.0)
             old_pids = pool.worker_pids()
@@ -148,66 +138,52 @@ class TestProcessWorkerPool:
         with pytest.raises(FileNotFoundError):
             ProcessWorkerPool(tmp_path / "nope.npz")
 
-    def test_shared_memory_ring_recycles_slots(self, served):
-        pool = ProcessWorkerPool(served.artifact, num_workers=1)
+    def test_batches_in_flight_match_the_in_process_executor(self, served):
+        # Twelve batches in flight at once over two workers, one of them
+        # 48 rows (1.1 MiB), each bitwise equal to an executor built in
+        # this process from the same artifact.
+        executor = _in_process_executor(served.artifact)
+        rng = np.random.default_rng(11)
+        batches = [rng.normal(size=(1 + i % 4, 3, 32, 32)) for i in range(11)]
+        batches.insert(5, rng.normal(size=(48, 3, 32, 32)))
+        assert batches[5].nbytes > 1 << 20
+        pool = ProcessWorkerPool(served.artifact, num_workers=2)
         try:
-            worker = pool._workers[0]
-            assert worker.in_ring is not None, "rings should be on by default"
-            slots = pool.shm_slots
-            # More in-flight batches than slots: the ring must recycle (and
-            # the pickle fallback absorb the overflow) without losing jobs.
-            futures = [pool.submit(served.batch) for _ in range(3 * slots)]
-            for future in futures:
-                np.testing.assert_allclose(
-                    future.result(timeout=120.0), served.expected,
-                    rtol=1e-9, atol=1e-12,
-                )
-            deadline = time.perf_counter() + 5.0
-            while time.perf_counter() < deadline:
-                with pool._lock:
-                    if sorted(worker.in_free) == list(range(slots)):
-                        break
-                time.sleep(0.02)
-            with pool._lock:
-                assert sorted(worker.in_free) == list(range(slots)), (
-                    "input ring slots must all return to the free list"
+            futures = [pool.submit(batch) for batch in batches]
+            for batch, future in zip(batches, futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=120.0), executor.run(batch)
                 )
             assert pool.plan_info and pool.plan_info["arena_bytes"] > 0
         finally:
             pool.close()
 
-    def test_ring_and_pickle_paths_agree(self, served):
-        with_ring = ProcessWorkerPool(served.artifact, num_workers=1)
-        without = ProcessWorkerPool(
-            served.artifact, num_workers=1, use_shared_memory=False
-        )
+    def test_submit_snapshots_the_batch(self, served):
+        # The queue pickles a batch later, on its feeder thread, so a caller
+        # that refills its buffer right after submit must not change what
+        # the worker runs.
+        executor = _in_process_executor(served.artifact)
+        rng = np.random.default_rng(12)
+        batches = [rng.normal(size=(4, 3, 32, 32)) for _ in range(8)]
+        buffer = np.empty_like(batches[0])
+        pool = ProcessWorkerPool(served.artifact, num_workers=1)
         try:
-            assert without._workers[0].in_ring is None
-            a = with_ring.submit(served.batch).result(timeout=120.0)
-            b = without.submit(served.batch).result(timeout=120.0)
-            np.testing.assert_array_equal(a, b)
-        finally:
-            with_ring.close()
-            without.close()
-
-    def test_oversized_batch_falls_back_to_pickle(self, served):
-        pool = ProcessWorkerPool(
-            served.artifact, num_workers=1, shm_slot_bytes=1024  # tiny slots
-        )
-        try:
-            out = pool.submit(served.batch).result(timeout=120.0)
-            np.testing.assert_allclose(
-                out, served.expected, rtol=1e-9, atol=1e-12
-            )
+            futures = []
+            for batch in batches:
+                buffer[...] = batch
+                futures.append(pool.submit(buffer))
+            buffer[...] = 0.0
+            for batch, future in zip(batches, futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=120.0), executor.run(batch)
+                )
         finally:
             pool.close()
 
-    def test_teardown_closes_rings_without_buffer_errors(self, served):
-        # A worker that still holds a view into its input ring cannot close
-        # the segment, and SharedMemory.__del__ then prints a BufferError
-        # traceback at exit.  Run the pool in a fresh interpreter so its
-        # stderr, workers included, can be inspected.  The last batch fails
-        # inside the worker, the path that leaves the view bound longest.
+    def test_teardown_prints_no_errors(self, served):
+        # Run the pool in a fresh interpreter so its stderr, workers
+        # included, can be inspected.  The last batch fails inside the
+        # worker before the pool closes.
         script = (
             "import sys, numpy as np\n"
             "from repro.serve import ProcessWorkerPool\n"
@@ -224,16 +200,87 @@ class TestProcessWorkerPool:
             "    pool.close()\n"
             "print('closed')\n"
         )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(served.artifact)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        done = _run_script(script, served.artifact)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "closed"
         assert "BufferError" not in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+
+    def test_close_releases_queue_semaphores(self, served):
+        # Each worker's two queues hold three POSIX semaphores each, and a
+        # worker and its pool reference each other.  With the cyclic GC
+        # off, only close() itself can release them: otherwise stopping the
+        # resource tracker (as a harness reaping its children does) reports
+        # them leaked, and their finalizers raise at exit.
+        script = (
+            "import gc, sys, numpy as np\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.serve import ProcessWorkerPool\n"
+            "gc.disable()\n"
+            "pool = ProcessWorkerPool(sys.argv[1], num_workers=2)\n"
+            "pool.submit(np.zeros((2, 3, 32, 32))).result(timeout=120.0)\n"
+            "pool.close()\n"
+            "del pool\n"
+            "resource_tracker._resource_tracker._stop()\n"
+            "print('stopped')\n"
+        )
+        done = _run_script(script, served.artifact)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "stopped"
+        assert "leaked semaphore" not in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+
+    def test_crash_with_batches_queued_blocks_neither_close_nor_exit(self, served):
+        # The worker dies on its first batch with three 1.1 MiB batches
+        # queued behind it, more than its pipe holds, so that queue can
+        # never drain.  Neither close() (here while the dead worker is
+        # still in the roster, then after its replacement took over) nor
+        # interpreter exit may wait for it.
+        script = (
+            "import sys, time, numpy as np\n"
+            "from repro.serve import FaultPlan, ProcessWorkerPool, WorkerCrashed\n"
+            "def crash_with_batches_queued(wait_for_respawn):\n"
+            "    pool = ProcessWorkerPool(sys.argv[1], num_workers=1,\n"
+            "                             fault_plan=FaultPlan.crash_on_batch(1, worker=0))\n"
+            "    pids = pool.worker_pids()\n"
+            "    batch = np.zeros((48, 3, 32, 32))\n"
+            "    for future in [pool.submit(batch) for _ in range(4)]:\n"
+            "        try:\n"
+            "            future.result(timeout=120.0)\n"
+            "        except WorkerCrashed:\n"
+            "            pass\n"
+            "    deadline = time.monotonic() + 120.0\n"
+            "    while wait_for_respawn and pool.worker_pids() in ([], pids):\n"
+            "        assert time.monotonic() < deadline, 'never respawned'\n"
+            "        time.sleep(0.05)\n"
+            "    pool.close()\n"
+            "crash_with_batches_queued(wait_for_respawn=False)\n"
+            "crash_with_batches_queued(wait_for_respawn=True)\n"
+            "print('closed')\n"
+        )
+        done = _run_script(script, served.artifact)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "closed"
+        assert "Traceback" not in done.stderr, done.stderr
+
+
+def _in_process_executor(artifact):
+    """The executor a process worker builds, built in this process."""
+    from repro.core.export import load_program
+    from repro.core.program import Executor, auto_backend
+
+    program = load_program(artifact)
+    return Executor(program, backend=auto_backend("plan", program))
+
+
+def _run_script(script, artifact):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", script, str(artifact)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
 
 # ---------------------------------------------------------------------------
