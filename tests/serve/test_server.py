@@ -158,6 +158,35 @@ class TestProcessWorkerPool:
         finally:
             pool.close()
 
+    def test_one_worker_drains_a_backlog_of_batches(self, served):
+        # Twelve full batches queued on a single worker before the first
+        # result is read: every one comes back, each on its own future.
+        pool = ProcessWorkerPool(served.artifact, num_workers=1)
+        try:
+            futures = [pool.submit(served.batch) for _ in range(12)]
+            for future in futures:
+                np.testing.assert_allclose(
+                    future.result(timeout=120.0), served.expected,
+                    rtol=1e-9, atol=1e-12,
+                )
+            assert pool.plan_info and pool.plan_info["arena_bytes"] > 0
+        finally:
+            pool.close()
+
+    def test_oversized_batch_crosses_the_queue(self, served):
+        # A 64-row batch (1.5 MiB) is many times the queue's pipe buffer; it
+        # must arrive whole, alone on the pool, and match bitwise.
+        executor = _in_process_executor(served.artifact)
+        batch = np.random.default_rng(13).normal(size=(64, 3, 32, 32))
+        assert batch.nbytes > 1 << 20
+        pool = ProcessWorkerPool(served.artifact, num_workers=1)
+        try:
+            np.testing.assert_array_equal(
+                pool.submit(batch).result(timeout=120.0), executor.run(batch)
+            )
+        finally:
+            pool.close()
+
     def test_submit_snapshots_the_batch(self, served):
         # The queue pickles a batch later, on its feeder thread, so a caller
         # that refills its buffer right after submit must not change what
